@@ -48,25 +48,17 @@ func main() {
 		fmt.Println(experiments.RenderTable2Measured(measured))
 	}
 	if all || *table == 3 {
-		t3, err := experiments.RunTable3(experiments.Table3Config{Sends: *sends, Seed: *seed})
+		cfg := experiments.Table3Config{Sends: *sends, Seed: *seed}
+		views, err := experiments.RunTable3Views(cfg)
 		check(err)
-		fmt.Println(t3.Render())
+		fmt.Println(views.Stats.Render())
 
-		tr3, err := experiments.RunTrace3(*sends, *seed)
-		check(err)
-		fmt.Println(tr3.Render())
-
-		x3, err := experiments.RunXRay3(*sends, *seed)
+		x3, err := experiments.RunXRay3(cfg)
 		check(err)
 		fmt.Println(x3.Render())
 
-		m3, err := experiments.RunMetrics3(experiments.Table3Config{Sends: *sends, Seed: *seed})
-		check(err)
-		fmt.Println(m3.Render())
-
-		l3, err := experiments.RunLogs3(experiments.Table3Config{Sends: *sends, Seed: *seed})
-		check(err)
-		fmt.Println(l3.Render())
+		fmt.Println(views.Metrics.Render())
+		fmt.Println(views.Logs.Render())
 	}
 	if all || *figure == 1 {
 		tr, err := experiments.RunFigure1()

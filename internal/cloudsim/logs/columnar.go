@@ -7,9 +7,9 @@ import (
 )
 
 // This file is the columnar Insights evaluator. Query pipelines run
-// here by default: instead of materializing one map per event (the
-// legacy row evaluator, kept as queryRows for differential testing),
-// the executor works over the store's columns directly —
+// here: instead of materializing one map per event (the reference
+// evaluator, queryRows, which lives with the tests), the executor
+// works over the store's columns directly —
 //
 //   - sel holds the indices of currently-selected events in the
 //     group's merged order; filter/limit compact it, sort permutes it;
@@ -20,8 +20,9 @@ import (
 //     structured fields are read straight off the stream columns, with
 //     @timestamp rendering memoized per event on first touch;
 //   - stats aggregates by scanning column values per bucket, then
-//     hands its aggregate rows to the legacy row stages for any
-//     post-stats pipeline tail.
+//     hands its aggregate rows to the stages' own apply methods for
+//     any post-stats pipeline tail; those few rows are cheap to run
+//     one map each.
 //
 // The two evaluators must agree cell-for-cell on every pipeline —
 // TestColumnarMatchesRows pins it, including the parse edge cases
@@ -381,7 +382,7 @@ func (ex *colExec) materializeRows(columns []string) [][]string {
 }
 
 // runColumnar evaluates the pipeline: columnar stages until the first
-// stats, then the legacy row stages for anything after it.
+// stats, then each later stage's row-wise apply over the aggregates.
 func runColumnar(groupName string, refs []eventRef, stages []stage) (*QueryResult, error) {
 	ex := newColExec(groupName, refs)
 	columns := []string{"@timestamp", "@message"}

@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps/chat"
 	"repro/internal/cloudsim/metrics"
-	"repro/internal/core"
 	"repro/internal/pricing"
 )
 
@@ -419,30 +417,14 @@ func TestTable3SeedRobustness(t *testing.T) {
 func TestTable3AgreesWithMonitoring(t *testing.T) {
 	// The harness measures Table 3 from returned InvocationStats; the
 	// monitoring service (the paper's actual measurement path —
-	// CloudWatch) must independently agree on the medians.
-	cloud, err := core.NewCloud(core.CloudOptions{Name: "monitored"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := chat.Install(cloud, "proto", chat.App{Members: []string{"alice", "bob"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice := chat.NewClient(d, "alice", "laptop")
-	if _, err := alice.Session(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		cloud.Clock.Advance(40 * time.Second)
-		if _, err := alice.Send("monitored send"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// CloudWatch) must independently agree on the whole run.
+	r, _ := sharedTimed(t)
+	mon, fn := r.cloud.Metrics, r.d.FnName
 	var zero time.Time
-	medRun := cloud.Metrics.Percentile(d.FnName, metrics.MetricLambdaRunMs, zero, zero, 50)
-	medBilled := cloud.Metrics.Percentile(d.FnName, metrics.MetricLambdaBilledMs, zero, zero, 50)
-	peak := cloud.Metrics.Max(d.FnName, metrics.MetricLambdaPeakMB, zero, zero)
-	coldSum := cloud.Metrics.Sum(d.FnName, metrics.MetricLambdaCold, zero, zero)
+	medRun := mon.Percentile(fn, metrics.MetricLambdaRunMs, zero, zero, 50)
+	medBilled := mon.Percentile(fn, metrics.MetricLambdaBilledMs, zero, zero, 50)
+	peak := mon.Max(fn, metrics.MetricLambdaPeakMB, zero, zero)
+	coldSum := mon.Sum(fn, metrics.MetricLambdaCold, zero, zero)
 	if medRun < 120 || medRun > 150 {
 		t.Errorf("monitored median run = %v ms", medRun)
 	}
@@ -452,12 +434,13 @@ func TestTable3AgreesWithMonitoring(t *testing.T) {
 	if peak < 45 || peak > 60 {
 		t.Errorf("monitored peak = %v MB", peak)
 	}
-	// Only the very first invocation (the session) cold-started.
+	// Only the very first invocation (Alice's session) cold-started.
 	if coldSum != 1 {
 		t.Errorf("monitored cold starts = %v", coldSum)
 	}
-	if n := cloud.Metrics.Count(d.FnName, metrics.MetricLambdaRunMs, zero, zero); n != 101 {
-		t.Errorf("monitored samples = %d, want 101", n)
+	// One lambda sample per invocation: two sessions plus the sends.
+	if n, want := mon.Count(fn, metrics.MetricLambdaRunMs, zero, zero), 2+len(r.billed); n != want {
+		t.Errorf("monitored samples = %d, want %d", n, want)
 	}
 }
 

@@ -72,10 +72,8 @@ func TestLedgerParityTable2(t *testing.T) {
 }
 
 func TestLedgerParityTable3(t *testing.T) {
-	tbl, err := RunTable3(Table3Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, v := sharedTimed(t)
+	tbl := v.Stats
 	var sb strings.Builder
 	sb.WriteString(tbl.Render())
 	// The rendered table rounds to milliseconds; the raw fingerprint

@@ -6,10 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/apps/chat"
 	"repro/internal/cloudsim/logs"
-	"repro/internal/cloudsim/netsim"
-	"repro/internal/core"
 	"repro/internal/pricing"
 )
 
@@ -18,7 +15,7 @@ import (
 // the lambda platform writes into the log plane as the workload runs,
 // read back through Insights-style queries. On real AWS these lines
 // are the primary operator-facing evidence of per-invoke billing, so
-// this closes the loop from the other direction than RunMetrics3: the
+// this closes the loop from the other direction than Metrics3: the
 // paper's numbers fall out of the raw log text alone.
 type Logs3 struct {
 	Samples int
@@ -38,9 +35,6 @@ type Logs3 struct {
 	// artifact an operator would actually read.
 	SampleReport string
 
-	// Queries lists the Insights pipelines the stats above came from.
-	Queries []string
-
 	// The log plane's inventory after the run, and what ingesting and
 	// storing it costs at CloudWatch Logs' 2017 prices.
 	Groups        []logs.GroupInfo
@@ -48,10 +42,6 @@ type Logs3 struct {
 	StoredBytes   int64
 	LogsList      pricing.Money
 	LogsBilled    pricing.Money
-
-	// DumpLines is the full deterministic event dump; scripts/check.sh
-	// diffs it across two identically-seeded runs (not rendered).
-	DumpLines []string
 }
 
 // Insights pipelines over the function's log group; REPORT lines carry
@@ -64,124 +54,42 @@ const (
 	logs3QuerySample = `filter @message like "REPORT RequestId" | sort @timestamp desc | limit 1 | fields @message`
 )
 
-// RunLogs3 drives the exact Table 3 workload, then reconstructs the
-// table from the log plane alone.
-func RunLogs3(cfg Table3Config) (*Logs3, error) {
-	if cfg.Sends <= 0 {
-		cfg.Sends = 200
-	}
-	if cfg.MemoryMB == 0 {
-		cfg.MemoryMB = 448
-	}
-	if cfg.GapBetweenSends <= 0 {
-		cfg.GapBetweenSends = 40 * time.Second
-	}
-
-	opts := core.CloudOptions{Name: "logs3"}
-	if cfg.Seed != 0 {
-		params := netsim.DefaultParams()
-		params.Seed = cfg.Seed
-		opts.NetParams = &params
-	}
-	cloud, err := core.NewCloud(opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// The workload is RunTable3's, call for call, so the latency
-	// model's random stream — and therefore every logged line —
-	// matches the pinned Table 3 goldens.
-	d, err := chat.Install(cloud, "proto", chat.App{
-		Members:  []string{"alice", "bob"},
-		MemoryMB: cfg.MemoryMB,
-		Backend:  cfg.Backend,
-	})
-	if err != nil {
-		return nil, err
-	}
-	alice := chat.NewClient(d, "alice", "laptop")
-	bob := chat.NewClient(d, "bob", "phone")
-	if _, err := alice.Session(); err != nil {
-		return nil, err
-	}
-	if _, err := bob.Session(); err != nil {
-		return nil, err
-	}
-
-	var measureFrom time.Time
-	for i := 0; i < cfg.Sends; i++ {
-		cloud.Clock.Advance(cfg.GapBetweenSends)
-		if i == 0 {
-			// Measurement window opens after the session-initiation
-			// invocations, before the first send — Table 3 measures
-			// sends only.
-			measureFrom = cloud.Clock.Now()
-		}
-		sendStart := cloud.Clock.Now()
-		if _, _, err := alice.SendTimed(fmt.Sprintf("message %d from the prototype run", i)); err != nil {
-			return nil, fmt.Errorf("logs3 send %d: %w", i, err)
-		}
-		pollCtx := bob.PollContext(sendStart)
-		msgs, err := bob.Receive(pollCtx, 20*time.Second)
+// logs3 reconstructs Table 3 from the timed run's log plane alone.
+func (r *chatRun) logs3() (*Logs3, error) {
+	cloud := r.cloud
+	// cell reads one cell of a query's first row, num parses it. The
+	// first failure sticks in err and turns later reads into no-ops.
+	var err error
+	cell := func(query, column string) string {
 		if err != nil {
-			return nil, fmt.Errorf("logs3 receive %d: %w", i, err)
+			return ""
 		}
-		if len(msgs) != 1 {
-			return nil, fmt.Errorf("logs3 receive %d: got %d messages", i, len(msgs))
+		res, qerr := cloud.Logs.Query(logs.LambdaGroup(r.d.FnName), query, r.from, time.Time{})
+		if qerr != nil {
+			err = fmt.Errorf("logs3 query %q: %w", query, qerr)
+			return ""
 		}
+		return res.Value(0, column)
 	}
-
-	// Everything below comes from the log service only.
-	var zero time.Time
-	q := func(query, column string) (string, error) {
-		res, err := cloud.Logs.Query(logs.LambdaGroup(d.FnName), query, measureFrom, zero)
-		if err != nil {
-			return "", fmt.Errorf("logs3 query %q: %w", query, err)
+	num := func(query, column string) float64 {
+		s := cell(query, column)
+		v, perr := strconv.ParseFloat(s, 64)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("logs3 query %q: column %s = %q: %w", query, column, s, perr)
 		}
-		return res.Value(0, column), nil
-	}
-	num := func(query, column string) (float64, error) {
-		s, err := q(query, column)
-		if err != nil {
-			return 0, err
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, fmt.Errorf("logs3 query %q: column %s = %q: %w", query, column, s, err)
-		}
-		return v, nil
+		return v
 	}
 
 	out := &Logs3{
-		Samples: cfg.Sends,
-		Queries: []string{logs3QueryBilled, logs3QueryRun, logs3QueryPeak, logs3QueryCold},
+		Samples:      len(r.billed),
+		MedBilled:    time.Duration(num(logs3QueryBilled, "med_billed_ms") * float64(time.Millisecond)),
+		Invocations:  int(num(logs3QueryBilled, "n")),
+		MedRunMs:     num(logs3QueryRun, "med_run_ms"),
+		PeakMemoryMB: int64(num(logs3QueryPeak, "peak_mb")),
+		ColdStarts:   int(num(logs3QueryCold, "cold_starts")),
+		SampleReport: cell(logs3QuerySample, "@message"),
 	}
-	billedMs, err := num(logs3QueryBilled, "med_billed_ms")
 	if err != nil {
-		return nil, err
-	}
-	out.MedBilled = time.Duration(billedMs * float64(time.Millisecond))
-	n, err := num(logs3QueryBilled, "n")
-	if err != nil {
-		return nil, err
-	}
-	out.Invocations = int(n)
-	if out.MedRunMs, err = num(logs3QueryRun, "med_run_ms"); err != nil {
-		return nil, err
-	}
-	peak, err := num(logs3QueryPeak, "peak_mb")
-	if err != nil {
-		return nil, err
-	}
-	out.PeakMemoryMB = int64(peak)
-	coldStr, err := q(logs3QueryCold, "cold_starts")
-	if err != nil {
-		return nil, err
-	}
-	if out.ColdStarts, err = strconv.Atoi(coldStr); err != nil {
-		return nil, fmt.Errorf("logs3 cold starts %q: %w", coldStr, err)
-	}
-	if out.SampleReport, err = q(logs3QuerySample, "@message"); err != nil {
 		return nil, err
 	}
 
@@ -196,8 +104,6 @@ func RunLogs3(cfg Table3Config) (*Logs3, error) {
 	}
 	out.LogsBilled = pricing.Compute(cloud.Book, logMeter).
 		TotalOf(pricing.CWLogsIngestGB, pricing.CWLogsStorageGBMo)
-
-	out.DumpLines = cloud.Logs.Dump()
 	return out, nil
 }
 
@@ -217,7 +123,7 @@ func (l *Logs3) Render() string {
 	fmt.Fprintf(&sb, "  %s\n", strings.ReplaceAll(l.SampleReport, "\t", "  "))
 
 	sb.WriteString("\nInsights queries used:\n")
-	for _, q := range l.Queries {
+	for _, q := range []string{logs3QueryBilled, logs3QueryRun, logs3QueryPeak, logs3QueryCold} {
 		fmt.Fprintf(&sb, "  %s\n", q)
 	}
 

@@ -5,20 +5,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // The acceptance gate for the log plane: Table 3 numbers reconstructed
 // purely from Lambda REPORT log lines must equal the ones measured
-// directly from InvocationStats (the pinned table3 golden).
+// directly from InvocationStats in the same run (the pinned table3
+// golden).
 func TestLogs3MatchesTable3(t *testing.T) {
-	l3, err := RunLogs3(Table3Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := RunTable3(Table3Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, v := sharedTimed(t)
+	l3, t3 := v.Logs, v.Stats
 	if l3.MedBilled != t3.MedBilled {
 		t.Errorf("logs-derived MedBilled = %v, stats-derived = %v", l3.MedBilled, t3.MedBilled)
 	}
@@ -54,24 +51,19 @@ func TestLogs3MatchesTable3(t *testing.T) {
 // interceptor and service sinks must not move a single duration or
 // nanodollar in the Table 3 run.
 func TestLogsPreserveLedger(t *testing.T) {
-	on, err := RunTable3(Table3Config{})
+	_, on := sharedTimed(t)
+	r, err := runChat3(Table3Config{}, core.CloudOptions{DisableLogging: true}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := RunTable3(Table3Config{DisableLogging: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *on != *off {
-		t.Errorf("logging changed the measured run:\n  on:  %+v\n  off: %+v", on, off)
+	if off := r.table3(); *on.Stats != *off {
+		t.Errorf("logging changed the measured run:\n  on:  %+v\n  off: %+v", on.Stats, off)
 	}
 }
 
 func TestLedgerParityLogs3(t *testing.T) {
-	l3, err := RunLogs3(Table3Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, v := sharedTimed(t)
+	l3 := v.Logs
 	var sb strings.Builder
 	sb.WriteString(l3.Render())
 	// Raw fingerprint below the rendered table, like the other parity
@@ -87,14 +79,15 @@ func TestLedgerParityLogs3(t *testing.T) {
 // output, proving two identically-seeded runs produce byte-identical
 // log streams.
 func TestLogStreamsDeterministic(t *testing.T) {
-	l3, err := RunLogs3(Table3Config{Sends: 25})
+	r, err := runChat3(Table3Config{Sends: 25}, core.CloudOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l3.DumpLines) == 0 {
+	dump := r.cloud.Logs.Dump()
+	if len(dump) == 0 {
 		t.Fatal("empty log dump")
 	}
-	for _, line := range l3.DumpLines {
+	for _, line := range dump {
 		t.Logf("logline: %s", line)
 	}
 }

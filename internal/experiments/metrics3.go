@@ -5,10 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/apps/chat"
 	"repro/internal/cloudsim/metrics"
-	"repro/internal/cloudsim/netsim"
-	"repro/internal/core"
 	"repro/internal/pricing"
 )
 
@@ -60,114 +57,37 @@ var metrics3Budget = pricing.FromDollars(0.001)
 // metrics3AlarmPeriod is the budget alarm's evaluation period.
 const metrics3AlarmPeriod = 30 * time.Minute
 
-// RunMetrics3 drives the exact Table 3 workload, then reconstructs the
-// table from the metrics service alone.
-func RunMetrics3(cfg Table3Config) (*Metrics3, error) {
-	if cfg.Sends <= 0 {
-		cfg.Sends = 200
-	}
-	if cfg.MemoryMB == 0 {
-		cfg.MemoryMB = 448
-	}
-	if cfg.GapBetweenSends <= 0 {
-		cfg.GapBetweenSends = 40 * time.Second
-	}
-
-	opts := core.CloudOptions{Name: "metrics3"}
-	if cfg.Seed != 0 {
-		params := netsim.DefaultParams()
-		params.Seed = cfg.Seed
-		opts.NetParams = &params
-	}
-	cloud, err := core.NewCloud(opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// The budget alarm goes in before any spend, anchored at the
-	// clock's epoch so the evaluation grid is reproducible.
-	budgetAlarm, err := cloud.Metrics.PutAlarm(
-		metrics.BudgetAlarm("monthly-budget", metrics3Budget, metrics3AlarmPeriod),
-		cloud.Clock.Now(), nil)
-	if err != nil {
-		return nil, err
-	}
-
-	// The workload is RunTable3's, call for call, so the latency
-	// model's random stream — and therefore every published sample —
-	// matches the pinned Table 3 goldens.
-	d, err := chat.Install(cloud, "proto", chat.App{
-		Members:  []string{"alice", "bob"},
-		MemoryMB: cfg.MemoryMB,
-		Backend:  cfg.Backend,
-	})
-	if err != nil {
-		return nil, err
-	}
-	alice := chat.NewClient(d, "alice", "laptop")
-	bob := chat.NewClient(d, "bob", "phone")
-	if _, err := alice.Session(); err != nil {
-		return nil, err
-	}
-	if _, err := bob.Session(); err != nil {
-		return nil, err
-	}
-
-	var measureFrom time.Time
-	for i := 0; i < cfg.Sends; i++ {
-		cloud.Clock.Advance(cfg.GapBetweenSends)
-		if i == 0 {
-			// Measurement window opens after the session-initiation
-			// invocations, before the first send — Table 3 measures
-			// sends only.
-			measureFrom = cloud.Clock.Now()
-		}
-		sendStart := cloud.Clock.Now()
-		if _, _, err := alice.SendTimed(fmt.Sprintf("message %d from the prototype run", i)); err != nil {
-			return nil, fmt.Errorf("metrics3 send %d: %w", i, err)
-		}
-		pollCtx := bob.PollContext(sendStart)
-		msgs, err := bob.Receive(pollCtx, 20*time.Second)
-		if err != nil {
-			return nil, fmt.Errorf("metrics3 receive %d: %w", i, err)
-		}
-		if len(msgs) != 1 {
-			return nil, fmt.Errorf("metrics3 receive %d: got %d messages", i, len(msgs))
-		}
-	}
-
+// metrics3 reconstructs Table 3 from the timed run's metrics alone.
+func (r *chatRun) metrics3() *Metrics3 {
+	mon := r.cloud.Metrics
 	// Flush the alarm grid past the end of the run: one catch-up call
 	// replays every elapsed period deterministically.
-	cloud.Metrics.EvaluateAlarms(cloud.Clock.Now().Add(metrics3AlarmPeriod))
+	mon.EvaluateAlarms(r.cloud.Clock.Now().Add(metrics3AlarmPeriod))
 
-	// Everything below comes from the metrics service only.
-	mon := cloud.Metrics
+	fn := r.d.FnName
 	var zero time.Time
 	out := &Metrics3{
-		Samples: cfg.Sends,
-		MedBilled: time.Duration(
-			mon.Percentile(d.FnName, metrics.MetricLambdaBilledMs, measureFrom, zero, 50) * float64(time.Millisecond)),
-		MedRunMs:     mon.Percentile(d.FnName, metrics.MetricLambdaRunMs, measureFrom, zero, 50),
-		PeakMemoryMB: int64(mon.Max(d.FnName, metrics.MetricLambdaPeakMB, measureFrom, zero)),
-		ColdStarts:   int(mon.Sum(d.FnName, metrics.MetricLambdaCold, measureFrom, zero)),
-		Invocations:  mon.Count("lambda/"+d.FnName, metrics.MetricPlaneRequests, measureFrom, zero),
+		Samples:      len(r.billed),
+		MedBilled:    time.Duration(mon.Percentile(fn, metrics.MetricLambdaBilledMs, r.from, zero, 50) * float64(time.Millisecond)),
+		MedRunMs:     mon.Percentile(fn, metrics.MetricLambdaRunMs, r.from, zero, 50),
+		PeakMemoryMB: int64(mon.Max(fn, metrics.MetricLambdaPeakMB, r.from, zero)),
+		ColdStarts:   int(mon.Sum(fn, metrics.MetricLambdaCold, r.from, zero)),
+		Invocations:  mon.Count("lambda/"+fn, metrics.MetricPlaneRequests, r.from, zero),
 		Rows:         mon.TopTable(zero, zero),
 		SeriesCount:  mon.SeriesCount(),
 		AlarmCount:   mon.AlarmCount(),
 
 		Budget:            metrics3Budget,
-		BudgetTransitions: budgetAlarm.Transitions(),
-	}
-	for _, u := range mon.Usage() {
-		out.ObsList += cloud.Book.ListPrice(u)
+		BudgetTransitions: r.budget.Transitions(),
 	}
 	obsMeter := pricing.NewMeter()
 	for _, u := range mon.Usage() {
+		out.ObsList += r.cloud.Book.ListPrice(u)
 		obsMeter.Add(u)
 	}
-	out.ObsBilled = pricing.Compute(cloud.Book, obsMeter).
+	out.ObsBilled = pricing.Compute(r.cloud.Book, obsMeter).
 		TotalOf(pricing.CWMetricMonths, pricing.CWAlarmMonths)
-	return out, nil
+	return out
 }
 
 // Render prints the re-derived table, the per-op dashboard, and the

@@ -7,20 +7,16 @@ import (
 	"time"
 
 	"repro/internal/cloudsim/metrics"
+	"repro/internal/core"
 )
 
 // The acceptance gate for the observability layer: Table 3 numbers
 // reconstructed purely from auto-published series must equal the ones
-// measured directly from InvocationStats (the pinned table3 golden).
+// measured directly from InvocationStats in the same run (the pinned
+// table3 golden).
 func TestMetrics3MatchesTable3(t *testing.T) {
-	m3, err := RunMetrics3(Table3Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := RunTable3(Table3Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, v := sharedTimed(t)
+	m3, t3 := v.Metrics, v.Stats
 	if m3.MedBilled != t3.MedBilled {
 		t.Errorf("metrics-derived MedBilled = %v, stats-derived = %v", m3.MedBilled, t3.MedBilled)
 	}
@@ -60,24 +56,19 @@ func TestMetrics3MatchesTable3(t *testing.T) {
 // interceptor must not move a single duration or nanodollar in the
 // Table 3 run.
 func TestObservabilityPreservesLedger(t *testing.T) {
-	on, err := RunTable3(Table3Config{})
+	_, on := sharedTimed(t)
+	r, err := runChat3(Table3Config{}, core.CloudOptions{DisableObservability: true}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := RunTable3(Table3Config{DisableObservability: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *on != *off {
-		t.Errorf("observability changed the measured run:\n  on:  %+v\n  off: %+v", on, off)
+	if off := r.table3(); *on.Stats != *off {
+		t.Errorf("observability changed the measured run:\n  on:  %+v\n  off: %+v", on.Stats, off)
 	}
 }
 
 func TestLedgerParityMetrics3(t *testing.T) {
-	m3, err := RunMetrics3(Table3Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, v := sharedTimed(t)
+	m3 := v.Metrics
 	var sb strings.Builder
 	sb.WriteString(m3.Render())
 	// Raw fingerprint below the rendered table, like the other parity

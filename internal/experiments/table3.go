@@ -1,13 +1,19 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/apps/chat"
+	"repro/internal/cloudsim/lambda"
+	"repro/internal/cloudsim/metrics"
 	"repro/internal/cloudsim/netsim"
+	"repro/internal/cloudsim/trace"
 	"repro/internal/core"
 	"repro/internal/pricing"
 )
@@ -37,49 +43,82 @@ type Table3Config struct {
 	Sends int
 	// MemoryMB is the function allocation (default 448, the paper's).
 	MemoryMB int
-	// GapBetweenSends spaces messages on the simulated clock (default
-	// 40 s, ≈2000 messages/day).
-	GapBetweenSends time.Duration
 	// Backend selects the chat state store ("" = S3, "dynamo").
 	Backend string
 	// Seed overrides the latency model's random seed (0 = default).
 	Seed int64
-	// DisableObservability turns off the plane metrics interceptor.
-	// The parity test runs the prototype both ways and requires
-	// bit-identical results: observability must never perturb what it
-	// observes.
-	DisableObservability bool
-	// DisableLogging turns off the log plane (interceptor + service
-	// sinks). TestLogsPreserveLedger runs the prototype both ways and
-	// requires bit-identical results: the evidence trail must never
-	// perturb the evidence.
-	DisableLogging bool
-	// DisableTracing turns off the X-Ray-sim trace store.
-	// TestTracePreservesLedger runs the prototype both ways and
-	// requires bit-identical results: storing traces must never move a
-	// ledger number.
-	DisableTracing bool
+}
+
+// gapBetweenSends spaces the sends (≈2000 messages/day).
+const gapBetweenSends = 40 * time.Second
+
+// Table3Views is one timed run read three ways, as each invocation on
+// AWS lands in the client's stats, CloudWatch and a REPORT log line.
+type Table3Views struct {
+	Stats   *Table3
+	Metrics *Metrics3
+	Logs    *Logs3
 }
 
 // RunTable3 deploys the chat prototype on a fresh simulated cloud,
 // exchanges messages between two members, and reports the medians the
 // paper's Table 3 lists.
 func RunTable3(cfg Table3Config) (*Table3, error) {
+	v, err := RunTable3Views(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return v.Stats, nil
+}
+
+// RunTable3Views runs the Table 3 workload once and derives the table
+// from the invocation stats, the metrics service and the log plane.
+func RunTable3Views(cfg Table3Config) (*Table3Views, error) {
+	r, err := runChat3(cfg, core.CloudOptions{}, false)
+	if err != nil {
+		return nil, err
+	}
+	return r.views()
+}
+
+// views derives the three views of a timed run. If they disagree on a
+// signal they share, the views come back with the error.
+func (r *chatRun) views() (*Table3Views, error) {
+	logs, err := r.logs3()
+	if err != nil {
+		return nil, err
+	}
+	v := &Table3Views{Stats: r.table3(), Metrics: r.metrics3(), Logs: logs}
+	return v, r.agree(v)
+}
+
+// chatRun is the chat prototype deployed once, both members sessioned,
+// and driven through a run of sends.
+type chatRun struct {
+	cloud *core.Cloud
+	d     *core.Deployment
+	// from opens the measurement window: after the two session
+	// invocations, before the first send. Table 3 measures sends only.
+	from time.Time
+	// Per-send samples. Only timed runs have e2e (to Bob's decrypted
+	// delivery) and a budget alarm; only traced runs keep live traces.
+	billed, run, e2e []time.Duration
+	peak             int64
+	cold             int
+	traces           []*trace.Trace
+	budget           *metrics.Alarm
+}
+
+// runChat3 runs the one chat workload behind every Table 3 derivation.
+// Timed runs SendTimed with Bob long-polling; traced runs SendTraced
+// with no receiver. Each shape draws its own latency stream, pinned by
+// goldens.
+func runChat3(cfg Table3Config, opts core.CloudOptions, traced bool) (*chatRun, error) {
 	if cfg.Sends <= 0 {
 		cfg.Sends = 200
 	}
 	if cfg.MemoryMB == 0 {
 		cfg.MemoryMB = 448
-	}
-	if cfg.GapBetweenSends <= 0 {
-		cfg.GapBetweenSends = 40 * time.Second
-	}
-
-	opts := core.CloudOptions{
-		Name:                 "table3",
-		DisableObservability: cfg.DisableObservability,
-		DisableLogging:       cfg.DisableLogging,
-		DisableTracing:       cfg.DisableTracing,
 	}
 	if cfg.Seed != 0 {
 		params := netsim.DefaultParams()
@@ -90,7 +129,18 @@ func RunTable3(cfg Table3Config) (*Table3, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := chat.Install(cloud, "proto", chat.App{
+	r := &chatRun{cloud: cloud}
+	if !traced {
+		// The budget alarm goes in before any spend, anchored at the
+		// clock's epoch so the evaluation grid is reproducible.
+		r.budget, err = cloud.Metrics.PutAlarm(
+			metrics.BudgetAlarm("monthly-budget", metrics3Budget, metrics3AlarmPeriod),
+			cloud.Clock.Now(), nil)
+		if err != nil {
+			return nil, err
+		}
+	}
+	r.d, err = chat.Install(cloud, "proto", chat.App{
 		Members:  []string{"alice", "bob"},
 		MemoryMB: cfg.MemoryMB,
 		Backend:  cfg.Backend,
@@ -98,71 +148,108 @@ func RunTable3(cfg Table3Config) (*Table3, error) {
 	if err != nil {
 		return nil, err
 	}
-	alice := chat.NewClient(d, "alice", "laptop")
-	bob := chat.NewClient(d, "bob", "phone")
-	if _, err := alice.Session(); err != nil {
-		return nil, err
-	}
-	if _, err := bob.Session(); err != nil {
-		return nil, err
+	alice := chat.NewClient(r.d, "alice", "laptop")
+	bob := chat.NewClient(r.d, "bob", "phone")
+	for _, c := range []*chat.Client{alice, bob} {
+		if _, err := c.Session(); err != nil {
+			return nil, err
+		}
 	}
 
-	var billed, run, e2e []time.Duration
-	var peak int64
-	cold := 0
 	for i := 0; i < cfg.Sends; i++ {
-		cloud.Clock.Advance(cfg.GapBetweenSends)
+		cloud.Clock.Advance(gapBetweenSends)
 		sendStart := cloud.Clock.Now()
-
-		stats, sentAt, err := alice.SendTimed(fmt.Sprintf("message %d from the prototype run", i))
-		if err != nil {
-			return nil, fmt.Errorf("table3 send %d: %w", i, err)
+		if i == 0 {
+			r.from = sendStart
 		}
-		billed = append(billed, stats.BilledTime)
-		run = append(run, stats.RunTime)
-		if stats.PeakMemoryBytes > peak {
-			peak = stats.PeakMemoryBytes
+		var stats lambda.InvocationStats
+		if traced {
+			var tr *trace.Trace
+			if tr, stats, err = alice.SendTraced(fmt.Sprintf("traced message %d", i)); err != nil {
+				return nil, fmt.Errorf("table3 traced send %d: %w", i, err)
+			}
+			r.traces = append(r.traces, tr)
+		} else {
+			var sentAt time.Time
+			if stats, sentAt, err = alice.SendTimed(fmt.Sprintf("message %d from the prototype run", i)); err != nil {
+				return nil, fmt.Errorf("table3 send %d: %w", i, err)
+			}
+			// Bob's long poll was outstanding before the send: E2E runs
+			// from the send initiation to his decrypted delivery.
+			pollCtx := bob.PollContext(sendStart)
+			msgs, err := bob.Receive(pollCtx, 20*time.Second)
+			if err != nil {
+				return nil, fmt.Errorf("table3 receive %d: %w", i, err)
+			}
+			if len(msgs) != 1 {
+				return nil, fmt.Errorf("table3 receive %d: got %d messages", i, len(msgs))
+			}
+			// Causality check on the simulated timeline: Bob's decrypted
+			// delivery can never precede the instant Alice's send completed.
+			if delivered := pollCtx.Cursor.Now(); delivered.Before(sentAt) {
+				return nil, fmt.Errorf("table3 receive %d: delivered at %v before send completed at %v", i, delivered, sentAt)
+			}
+			r.e2e = append(r.e2e, pollCtx.Cursor.Now().Sub(sendStart))
 		}
+		r.billed = append(r.billed, stats.BilledTime)
+		r.run = append(r.run, stats.RunTime)
+		r.peak = max(r.peak, stats.PeakMemoryBytes)
 		if stats.ColdStart {
-			cold++
+			r.cold++
 		}
-
-		// Bob's long poll was outstanding before the send: E2E runs
-		// from the send initiation to his decrypted delivery.
-		pollCtx := bob.PollContext(sendStart)
-		msgs, err := bob.Receive(pollCtx, 20*time.Second)
-		if err != nil {
-			return nil, fmt.Errorf("table3 receive %d: %w", i, err)
-		}
-		if len(msgs) != 1 {
-			return nil, fmt.Errorf("table3 receive %d: got %d messages", i, len(msgs))
-		}
-		// Causality check on the simulated timeline: Bob's decrypted
-		// delivery can never precede the instant Alice's send completed.
-		if delivered := pollCtx.Cursor.Now(); delivered.Before(sentAt) {
-			return nil, fmt.Errorf("table3 receive %d: delivered at %v before send completed at %v", i, delivered, sentAt)
-		}
-		e2e = append(e2e, pollCtx.Cursor.Now().Sub(sendStart))
 	}
+	return r, nil
+}
 
-	fn, _ := cloud.Lambda.Function(d.FnName)
-	medBilled := median(billed)
-	book := cloud.Book
+// table3 derives Table 3 from the per-send invocation stats.
+func (r *chatRun) table3() *Table3 {
+	fn, _ := r.cloud.Lambda.Function(r.d.FnName)
+	medBilled := median(r.billed)
+	book := r.cloud.Book
 	perRequest := book.LambdaPerMillionRequests.MulFloat(1.0/1e6) +
 		book.LambdaPerGBSecond.MulFloat(medBilled.Seconds()*float64(fn.MemoryMB)/1024)
 
 	return &Table3{
 		MedBilled:    medBilled,
-		MedRun:       median(run),
-		MedE2E:       median(e2e),
-		P95Run:       percentile(run, 95),
-		P99E2E:       percentile(e2e, 99),
+		MedRun:       median(r.run),
+		MedE2E:       median(r.e2e),
+		P95Run:       percentile(r.run, 95),
+		P99E2E:       percentile(r.e2e, 99),
 		AllocatedMB:  fn.MemoryMB,
-		PeakMemoryMB: peak >> 20,
+		PeakMemoryMB: r.peak >> 20,
 		CostPer100K:  perRequest.MulFloat(100_000),
-		Samples:      cfg.Sends,
-		ColdStarts:   cold,
-	}, nil
+		Samples:      len(r.billed),
+		ColdStarts:   r.cold,
+	}
+}
+
+// agree checks that the views of one timed run report the same value
+// for every signal they share; a difference is a telemetry-sink bug.
+func (r *chatRun) agree(v *Table3Views) error {
+	medBilled, medRunMs := p50(r.billed), float64(p50(r.run))/float64(time.Millisecond)
+	s, m, l := v.Stats, v.Metrics, v.Logs
+	var errs []error
+	same(&errs, "metrics billed median", medBilled, m.MedBilled)
+	same(&errs, "metrics run median ms", medRunMs, m.MedRunMs)
+	same(&errs, "metrics peak MB", s.PeakMemoryMB, m.PeakMemoryMB)
+	same(&errs, "metrics cold starts", s.ColdStarts, m.ColdStarts)
+	same(&errs, "metrics invocations", s.Samples, m.Invocations)
+	same(&errs, "logs billed median", medBilled, l.MedBilled)
+	// REPORT prints the run time to two decimals.
+	if math.Abs(l.MedRunMs-medRunMs) > 0.005+1e-9 {
+		same(&errs, "logs run median ms", medRunMs, l.MedRunMs)
+	}
+	same(&errs, "logs peak MB", s.PeakMemoryMB, l.PeakMemoryMB)
+	same(&errs, "logs cold starts", s.ColdStarts, l.ColdStarts)
+	same(&errs, "logs invocations", s.Samples, l.Invocations)
+	return errors.Join(errs...)
+}
+
+// same records a disagreement when a signal's two values differ.
+func same[T comparable](errs *[]error, signal string, want, got T) {
+	if want != got {
+		*errs = append(*errs, fmt.Errorf("table3 derivations disagree on %s: %v vs %v", signal, want, got))
+	}
 }
 
 // Render prints the statistics in the paper's Table 3 layout.
@@ -182,10 +269,12 @@ func (t *Table3) Render() string {
 	return sb.String()
 }
 
-// median returns the middle sample (lower of two for even counts).
+// median returns the middle sample, the upper one for even counts
+// (sample 101 of 200), as the ledger_table3 golden pins.
 func median(samples []time.Duration) time.Duration { return percentile(samples, 50) }
 
-// percentile returns the p-th percentile sample (nearest-rank).
+// percentile returns the sample at index len*p/100 of the sorted
+// samples, clamped to the last.
 func percentile(samples []time.Duration, p int) time.Duration {
 	if len(samples) == 0 {
 		return 0
@@ -197,4 +286,14 @@ func percentile(samples []time.Duration, p int) time.Duration {
 		idx = len(cp) - 1
 	}
 	return cp[idx]
+}
+
+// p50 is the nearest-rank median the telemetry sinks share.
+func p50[T time.Duration | pricing.Money](samples []T) T {
+	if len(samples) == 0 {
+		return 0
+	}
+	cp := slices.Clone(samples)
+	slices.Sort(cp)
+	return cp[metrics.NearestRank(len(cp), 50)]
 }

@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/apps/chat"
-	"repro/internal/cloudsim/netsim"
+	"repro/internal/cloudsim/metrics"
 	"repro/internal/cloudsim/trace"
 	"repro/internal/core"
 	"repro/internal/pricing"
@@ -53,48 +53,21 @@ type XRay3 struct {
 	Example string
 }
 
-// RunXRay3 deploys the chat prototype, sends traced messages with
-// sampling off (every trace kept — the single-account default), and
-// derives the Table 3 numbers from the trace store's columns.
-func RunXRay3(sends int, seed int64) (*XRay3, error) {
-	if sends <= 0 {
-		sends = 200
-	}
-	opts := core.CloudOptions{Name: "xray3"}
-	if seed != 0 {
-		params := netsim.DefaultParams()
-		params.Seed = seed
-		opts.NetParams = &params
-	}
-	cloud, err := core.NewCloud(opts)
+// RunXRay3 runs the traced Table 3 workload with sampling off (every
+// trace kept, the single-account default) and derives the Table 3
+// numbers from the trace store's columns.
+func RunXRay3(cfg Table3Config) (*XRay3, error) {
+	r, err := runChat3(cfg, core.CloudOptions{}, true)
 	if err != nil {
 		return nil, err
 	}
-	d, err := chat.Install(cloud, "proto", chat.App{
-		Members:  []string{"alice", "bob"},
-		MemoryMB: 448,
-	})
-	if err != nil {
-		return nil, err
-	}
-	alice := chat.NewClient(d, "alice", "laptop")
-	bob := chat.NewClient(d, "bob", "phone")
-	if _, err := alice.Session(); err != nil {
-		return nil, err
-	}
-	if _, err := bob.Session(); err != nil {
-		return nil, err
-	}
+	return r.xray3()
+}
 
-	// Drive the sends without keeping any client-side trace object:
-	// everything below must come back out of the store.
-	for i := 0; i < sends; i++ {
-		cloud.Clock.Advance(40 * time.Second)
-		if _, _, err := alice.SendTraced(fmt.Sprintf("traced message %d", i)); err != nil {
-			return nil, fmt.Errorf("xray3 send %d: %w", i, err)
-		}
-	}
-
+// xray3 derives the X-Ray block from the trace store alone. If it
+// disagrees with the live traces, the block comes back with the error.
+func (r *chatRun) xray3() (*XRay3, error) {
+	cloud, sends := r.cloud, len(r.traces)
 	st := cloud.Tracer
 	views := st.Stored()
 	if len(views) != sends {
@@ -104,20 +77,16 @@ func RunXRay3(sends int, seed int64) (*XRay3, error) {
 	var billed, run, durs []time.Duration
 	var costs []pricing.Money
 	for i, v := range views {
-		lsp, ok := v.Find("lambda", d.FnName)
+		lsp, ok := v.Find("lambda", r.d.FnName)
 		if !ok {
 			return nil, fmt.Errorf("xray3 trace %d: no lambda segment", i)
 		}
-		b, err := storedMillis(lsp, "billed_ms")
-		if err != nil {
-			return nil, fmt.Errorf("xray3 trace %d: %w", i, err)
-		}
-		r, err := storedMillis(lsp, "run_ms")
+		b, rn, err := lambdaMillis(lsp)
 		if err != nil {
 			return nil, fmt.Errorf("xray3 trace %d: %w", i, err)
 		}
 		billed = append(billed, b)
-		run = append(run, r)
+		run = append(run, rn)
 		durs = append(durs, v.Duration())
 		costs = append(costs, v.Cost(cloud.Book))
 	}
@@ -135,10 +104,10 @@ func RunXRay3(sends int, seed int64) (*XRay3, error) {
 		Samples:        sends,
 		ColdStarts:     len(cold),
 		SlowSends:      len(slow),
-		MedBilled:      nearestRankDur(billed, 50),
-		MedRun:         nearestRankDur(run, 50),
-		MedDuration:    nearestRankDur(durs, 50),
-		MedCostPerSend: medianMoney(costs),
+		MedBilled:      p50(billed),
+		MedRun:         p50(run),
+		MedDuration:    p50(durs),
+		MedCostPerSend: p50(costs),
 		Map:            st.ServiceMap(cloud.Book, time.Time{}, time.Time{}),
 		Crit:           st.CriticalProfile(time.Time{}, time.Time{}),
 		Example:        views[0].Render(cloud.Book),
@@ -149,7 +118,7 @@ func RunXRay3(sends int, seed int64) (*XRay3, error) {
 	for _, u := range st.Usage() {
 		out.XRayCost += cloud.Book.ListPrice(u)
 	}
-	return out, nil
+	return out, r.agreeTraced(out)
 }
 
 // Render prints the store-derived Table 3 with the analytics.
@@ -181,15 +150,44 @@ func indentInto(sb *strings.Builder, block string) {
 	}
 }
 
-// storedMillis reads a millisecond annotation from a stored segment.
-func storedMillis(g trace.SegmentView, key string) (time.Duration, error) {
-	v, ok := g.Annotation(key)
-	if !ok {
-		return 0, fmt.Errorf("segment %s %s: no %s annotation", g.Service(), g.Op(), key)
+// agreeTraced checks the store-derived block against the run's live
+// traces and its metrics series, which observe the same invocations.
+func (r *chatRun) agreeTraced(x *XRay3) error {
+	var billed, run []time.Duration
+	var costs []pricing.Money
+	for i, tr := range r.traces {
+		// A missing span is nil and has no annotations to read.
+		b, rn, err := lambdaMillis(tr.Find("lambda", r.d.FnName))
+		if err != nil {
+			return fmt.Errorf("xray3 live trace %d: %w", i, err)
+		}
+		billed = append(billed, b)
+		run = append(run, rn)
+		costs = append(costs, tr.Cost(r.cloud.Book))
 	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("segment %s %s: bad %s: %w", g.Service(), g.Op(), key, err)
+	// Run-time annotations are whole milliseconds; the metric keeps
+	// sub-millisecond precision.
+	metricsRun := time.Duration(r.cloud.Metrics.Percentile(r.d.FnName, metrics.MetricLambdaRunMs,
+		r.from, time.Time{}, 50) * float64(time.Millisecond))
+
+	var errs []error
+	same(&errs, "live billed median", p50(billed), x.MedBilled)
+	same(&errs, "live run median", p50(run), x.MedRun)
+	same(&errs, "live cost median", p50(costs), x.MedCostPerSend)
+	same(&errs, "live cold starts", r.cold, x.ColdStarts)
+	same(&errs, "metrics run median", metricsRun.Truncate(time.Millisecond), x.MedRun)
+	return errors.Join(errs...)
+}
+
+// lambdaMillis reads the billed_ms and run_ms annotations of a lambda
+// span, live (*trace.Span) or stored (trace.SegmentView).
+func lambdaMillis(s interface{ Annotation(string) (string, bool) }) (billed, run time.Duration, err error) {
+	var ms [2]int64
+	for i, key := range []string{"billed_ms", "run_ms"} {
+		v, _ := s.Annotation(key)
+		if ms[i], err = strconv.ParseInt(v, 10, 64); err != nil {
+			return 0, 0, fmt.Errorf("lambda span annotation %s: %w", key, err)
+		}
 	}
-	return time.Duration(ms) * time.Millisecond, nil
+	return time.Duration(ms[0]) * time.Millisecond, time.Duration(ms[1]) * time.Millisecond, nil
 }

@@ -10,7 +10,7 @@ go vet ./...
 echo ">> diylint ./... (domain invariants: wallclock, globalrand, moneyfloat, spanhygiene, planeroute, metricname, loggroup, hotpath, droppederr, maporder, globalstate, shardsafe)"
 go run ./cmd/diylint ./...
 
-echo ">> ledger parity (Tables 1-3 + metrics3 + logs3 + xray3 bit-identical to committed goldens; observability/logging/tracing on == off)"
+echo ">> ledger parity (Tables 1-3, the metrics and logs views of the shared timed Table 3 run, and the traced X-Ray run bit-identical to committed goldens; observability/logging/tracing on == off)"
 go test ./internal/experiments -run 'TestLedgerParity|TestObservabilityPreservesLedger|TestLogsPreserveLedger|TestTracePreservesLedger'
 
 echo ">> alarm determinism (two identically-seeded runs, transition logs diffed)"
@@ -33,6 +33,19 @@ go test ./internal/experiments -run TestLogStreamsDeterministic -count=1 -v 2>&1
 	| grep 'logline:' >"$LOG2"
 if ! [ -s "$LOG1" ]; then
 	echo "check: log-stream determinism test produced no log lines" >&2
+	exit 1
+fi
+diff "$LOG1" "$LOG2"
+
+echo ">> table 3 double-run at a non-default seed (timed and traced runs, all four blocks diffed)"
+go run ./cmd/experiments -table 3 -sends 60 -seed 7 >"$LOG1"
+go run ./cmd/experiments -table 3 -sends 60 -seed 7 >"$LOG2"
+if ! [ -s "$LOG1" ]; then
+	echo "check: table 3 run produced no output" >&2
+	exit 1
+fi
+if ! grep -q 'REPORT log lines alone' "$LOG1"; then
+	echo "check: table 3 run did not reach its final block" >&2
 	exit 1
 fi
 diff "$LOG1" "$LOG2"
