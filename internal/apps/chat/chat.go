@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/cloudsim/dynamo"
 	"repro/internal/cloudsim/lambda"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
 	"repro/internal/proto/xmpp"
@@ -147,12 +148,18 @@ type handler struct {
 	app App
 }
 
-func (h *handler) key() ([]byte, error) {
+// cipher unwraps the deployment data key and keys the one AES-GCM
+// instance that seals and opens everything this invocation touches.
+func (h *handler) cipher() (*envelope.Cipher, error) {
 	wrapped, err := hex.DecodeString(h.env.Config(core.ConfigWrappedKey))
 	if err != nil {
 		return nil, fmt.Errorf("chat: bad wrapped key config: %w", err)
 	}
-	return h.env.DataKey(wrapped)
+	key, err := h.env.DataKey(wrapped)
+	if err != nil {
+		return nil, err
+	}
+	return envelope.NewCipher(key)
 }
 
 func (h *handler) bucket() string { return h.env.Config(core.ConfigBucket) }
@@ -222,7 +229,7 @@ func (h *handler) roster(member string) (lambda.Response, error) {
 	if !h.memberOf(member) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	key, err := h.cipher()
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -258,7 +265,7 @@ func (h *handler) search(body []byte) (lambda.Response, error) {
 	if !h.memberOf(req.Member) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	key, err := h.cipher()
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -307,29 +314,34 @@ func (h *handler) search(body []byte) (lambda.Response, error) {
 
 // loadRoom fetches and opens the room document (an empty room on first
 // touch). The returned version feeds saveRoom's conditional write.
-func (h *handler) loadRoom(key []byte) (*roomDoc, int64, error) {
+// Only a missing object means first touch: any other read failure is
+// returned, since treating it as an empty room would let the next save
+// overwrite the room's history.
+func (h *handler) loadRoom(key *envelope.Cipher) (*roomDoc, int64, error) {
 	data, version, err := h.getBlob("room")
-	if err != nil {
+	if errors.Is(err, s3.ErrNoSuchKey) || errors.Is(err, dynamo.ErrNoSuchItem) {
 		return &roomDoc{Members: h.app.Members}, 0, nil
 	}
-	pt, err := envelope.Open(key, data, []byte("room"))
+	if err != nil {
+		return nil, 0, fmt.Errorf("chat: reading room doc: %w", err)
+	}
+	// Both backends return the caller's own copy of the object, so it
+	// is decrypted in place.
+	pt, err := key.OpenInPlace(data, []byte("room"))
 	if err != nil {
 		return nil, 0, fmt.Errorf("chat: opening room doc: %w", err)
 	}
-	var doc roomDoc
-	if err := json.Unmarshal(pt, &doc); err != nil {
+	doc, err := unmarshalRoomDoc(string(pt))
+	if err != nil {
 		return nil, 0, fmt.Errorf("chat: parsing room doc: %w", err)
 	}
 	h.env.Compute(2 * time.Millisecond)
-	return &doc, version, nil
+	return doc, version, nil
 }
 
-func (h *handler) saveRoom(key []byte, doc *roomDoc, ifVersion int64) error {
-	pt, err := json.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	sealed, err := envelope.Seal(key, pt, []byte("room"))
+func (h *handler) saveRoom(key *envelope.Cipher, doc *roomDoc, ifVersion int64) error {
+	buf := make([]byte, envelope.HeaderSize, envelope.HeaderSize+roomDocSize(doc)+envelope.TagSize)
+	sealed, err := key.SealInPlace(appendRoomDoc(buf, doc), []byte("room"))
 	if err != nil {
 		return err
 	}
@@ -340,7 +352,7 @@ func (h *handler) saveRoom(key []byte, doc *roomDoc, ifVersion int64) error {
 // updateRoom applies mutate under optimistic concurrency: load, apply,
 // conditional save, retry on version conflict (table backend only; the
 // object backend has a single attempt, last-writer-wins).
-func (h *handler) updateRoom(key []byte, mutate func(*roomDoc) error) error {
+func (h *handler) updateRoom(key *envelope.Cipher, mutate func(*roomDoc) error) error {
 	const maxAttempts = 5
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		doc, version, err := h.loadRoom(key)
@@ -403,7 +415,7 @@ func (h *handler) presence(p *xmpp.Presence) (lambda.Response, error) {
 	if err != nil || !h.memberOf(from.Local) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	key, err := h.cipher()
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -438,7 +450,7 @@ func (h *handler) presence(p *xmpp.Presence) (lambda.Response, error) {
 }
 
 // fanOut seals a stanza into every other member's inbox queue.
-func (h *handler) fanOut(key []byte, sender string, stanza []byte) error {
+func (h *handler) fanOut(key *envelope.Cipher, sender string, stanza []byte) error {
 	for _, member := range h.app.Members {
 		if member == sender {
 			continue
@@ -447,7 +459,7 @@ func (h *handler) fanOut(key []byte, sender string, stanza []byte) error {
 		if qname == "" {
 			continue
 		}
-		sealed, err := envelope.Seal(key, stanza, []byte("inbox:"+member))
+		sealed, err := key.Seal(stanza, []byte("inbox:"+member))
 		if err != nil {
 			return err
 		}
@@ -465,7 +477,7 @@ func (h *handler) message(m *xmpp.Message) (lambda.Response, error) {
 	if err != nil || !h.memberOf(from.Local) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	key, err := h.cipher()
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -529,7 +541,7 @@ func (h *handler) history(member string) (lambda.Response, error) {
 	if !h.memberOf(member) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	key, err := h.cipher()
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -570,13 +582,10 @@ func (h *handler) history(member string) (lambda.Response, error) {
 
 // archiveChunk moves the live tail into an immutable archived chunk
 // object and resets the tail.
-func (h *handler) archiveChunk(key []byte, doc *roomDoc) error {
-	pt, err := json.Marshal(doc.Entries)
-	if err != nil {
-		return err
-	}
+func (h *handler) archiveChunk(key *envelope.Cipher, doc *roomDoc) error {
 	chunkKey := fmt.Sprintf("history/%06d", doc.Chunks)
-	sealed, err := envelope.Seal(key, pt, []byte(chunkKey))
+	buf := make([]byte, envelope.HeaderSize, envelope.HeaderSize+entriesSize(doc.Entries)+envelope.TagSize)
+	sealed, err := key.SealInPlace(appendEntries(buf, doc.Entries), []byte(chunkKey))
 	if err != nil {
 		return err
 	}
@@ -589,18 +598,18 @@ func (h *handler) archiveChunk(key []byte, doc *roomDoc) error {
 }
 
 // loadArchivedChunk reads archived chunk c.
-func (h *handler) loadArchivedChunk(key []byte, c int) ([]historyEntry, error) {
+func (h *handler) loadArchivedChunk(key *envelope.Cipher, c int) ([]historyEntry, error) {
 	chunkKey := fmt.Sprintf("history/%06d", c)
 	data, _, err := h.getBlob(chunkKey)
 	if err != nil {
 		return nil, fmt.Errorf("chat: reading chunk %s: %w", chunkKey, err)
 	}
-	pt, err := envelope.Open(key, data, []byte(chunkKey))
+	pt, err := key.OpenInPlace(data, []byte(chunkKey))
 	if err != nil {
 		return nil, fmt.Errorf("chat: opening chunk %s: %w", chunkKey, err)
 	}
-	var entries []historyEntry
-	if err := json.Unmarshal(pt, &entries); err != nil {
+	entries, err := unmarshalEntries(string(pt))
+	if err != nil {
 		return nil, fmt.Errorf("chat: parsing chunk %s: %w", chunkKey, err)
 	}
 	return entries, nil

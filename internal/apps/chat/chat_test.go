@@ -2,12 +2,15 @@ package chat
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/plane"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
@@ -619,5 +622,60 @@ func TestRoster(t *testing.T) {
 	resp, _, _ := d.Invoke(d.ClientContext(), "roster", []byte("mallory"))
 	if resp.Status != 403 {
 		t.Fatalf("non-member roster status %d", resp.Status)
+	}
+}
+
+// TestFailedRoomReadKeepsHistory: a room read that fails for any reason
+// other than a missing object must fail the send. Treating it as a
+// first touch would start an empty room, and saving that would
+// overwrite the history.
+func TestFailedRoomReadKeepsHistory(t *testing.T) {
+	cloud, d := newRoom(t)
+	alice := session(t, d, "alice")
+	for _, text := range []string{"one", "two", "three"} {
+		if _, err := alice.Send(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errThrottled := errors.New("s3: slow down")
+	room := s3.ObjectResource(d.Bucket, "room")
+	failNextGet, roomPuts := false, 0
+	cloud.S3.Plane().Use(func(next plane.HandlerFunc) plane.HandlerFunc {
+		return func(r *plane.Request) error {
+			if r.Call.Resource == room {
+				switch r.Call.Action {
+				case s3.ActionGet:
+					if failNextGet {
+						failNextGet = false
+						return errThrottled
+					}
+				case s3.ActionPut:
+					roomPuts++
+				}
+			}
+			return next(r)
+		}
+	})
+
+	failNextGet = true
+	if _, err := alice.Send("four"); err == nil {
+		t.Fatal("send succeeded although the room read failed")
+	}
+	if failNextGet {
+		t.Fatal("the send never read the room")
+	}
+	if roomPuts != 0 {
+		t.Fatalf("failed send wrote the room %d times", roomPuts)
+	}
+	hist, err := alice.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies []string
+	for _, m := range hist {
+		bodies = append(bodies, m.Body)
+	}
+	if got := strings.Join(bodies, ","); got != "one,two,three" {
+		t.Fatalf("history after the failed send = %q, want one,two,three", got)
 	}
 }

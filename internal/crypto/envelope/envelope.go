@@ -42,44 +42,119 @@ func NewDataKey() ([]byte, error) {
 	return k, nil
 }
 
-// Seal encrypts plaintext under key with AES-256-GCM, binding the
-// optional associated data aad (e.g. the object's storage path, so a
-// ciphertext cannot be swapped between locations undetected). The
-// returned blob is magic || nonce || ciphertext.
-func Seal(key, plaintext, aad []byte) ([]byte, error) {
-	aead, err := newAEAD(key)
+// Cipher is AES-256-GCM keyed once from a data key. A caller that
+// seals or opens several blobs under one key (a function invocation
+// touching its room document and every member's inbox) builds one
+// Cipher and skips the per-blob key schedule. Keep it no longer than
+// the data key it came from: it holds the expanded key.
+type Cipher struct {
+	aead cipher.AEAD
+}
+
+// NewCipher keys a Cipher from a data key.
+func NewCipher(key []byte) (*Cipher, error) {
+	if len(key) != KeySize {
+		return nil, ErrBadKeySize
+	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("envelope: %w", err)
+	}
+	aead, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, nonceSize)
+	return &Cipher{aead: aead}, nil
+}
+
+// Sealed blob layout: a HeaderSize header (magic || nonce), then the
+// ciphertext, which ends in a TagSize authentication tag.
+const (
+	HeaderSize = 4 + nonceSize
+	TagSize    = 16
+)
+
+// Seal encrypts plaintext with AES-256-GCM, binding the optional
+// associated data aad (e.g. the object's storage path, so a ciphertext
+// cannot be swapped between locations undetected). The returned blob
+// is magic || nonce || ciphertext.
+func (c *Cipher) Seal(plaintext, aad []byte) ([]byte, error) {
+	out := make([]byte, HeaderSize, HeaderSize+len(plaintext)+TagSize)
+	return c.seal(out, plaintext, aad)
+}
+
+// SealInPlace seals buf[HeaderSize:] in buf's own storage and writes the
+// header over buf[:HeaderSize], returning the blob Seal would return
+// for that plaintext. A caller that encodes its plaintext after
+// HeaderSize reserved bytes, with TagSize spare capacity, saves Seal's
+// copy.
+func (c *Cipher) SealInPlace(buf, aad []byte) ([]byte, error) {
+	return c.seal(buf[:HeaderSize], buf[HeaderSize:], aad)
+}
+
+// seal fills header (HeaderSize bytes) with magic and a fresh nonce and
+// appends the ciphertext of plaintext to it.
+func (c *Cipher) seal(header, plaintext, aad []byte) ([]byte, error) {
+	copy(header, magic)
+	nonce := header[len(magic):]
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("envelope: generating nonce: %w", err)
 	}
-	out := make([]byte, 0, len(magic)+nonceSize+len(plaintext)+aead.Overhead())
-	out = append(out, magic...)
-	out = append(out, nonce...)
-	return aead.Seal(out, nonce, plaintext, aad), nil
+	return c.aead.Seal(header, nonce, plaintext, aad), nil
 }
 
-// Open decrypts a blob produced by Seal with the same key and aad.
-func Open(key, blob, aad []byte) ([]byte, error) {
+// Open decrypts a blob produced by Seal under the same key and aad.
+func (c *Cipher) Open(blob, aad []byte) ([]byte, error) {
+	return c.open(blob, aad, false)
+}
+
+// OpenInPlace is Open decrypting into blob's own storage, for a caller
+// that owns blob and needs only the plaintext: the result aliases blob,
+// and blob is overwritten even when opening fails.
+func (c *Cipher) OpenInPlace(blob, aad []byte) ([]byte, error) {
+	return c.open(blob, aad, true)
+}
+
+func (c *Cipher) open(blob, aad []byte, inPlace bool) ([]byte, error) {
 	if !IsSealed(blob) {
 		return nil, ErrNotSealed
 	}
-	aead, err := newAEAD(key)
-	if err != nil {
-		return nil, err
-	}
 	body := blob[len(magic):]
-	if len(body) < nonceSize+aead.Overhead() {
+	if len(body) < nonceSize+c.aead.Overhead() {
 		return nil, ErrCorrupt
 	}
 	nonce, ct := body[:nonceSize], body[nonceSize:]
-	pt, err := aead.Open(nil, nonce, ct, aad)
+	var dst []byte
+	if inPlace {
+		dst = ct[:0]
+	}
+	pt, err := c.aead.Open(dst, nonce, ct, aad)
 	if err != nil {
 		return nil, ErrCorrupt
 	}
 	return pt, nil
+}
+
+// Seal encrypts plaintext under key: Cipher.Seal for a one-off key.
+func Seal(key, plaintext, aad []byte) ([]byte, error) {
+	c, err := NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.Seal(plaintext, aad)
+}
+
+// Open decrypts a blob produced by Seal with the same key and aad:
+// Cipher.Open for a one-off key.
+func Open(key, blob, aad []byte) ([]byte, error) {
+	if !IsSealed(blob) {
+		return nil, ErrNotSealed
+	}
+	c, err := NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.Open(blob, aad)
 }
 
 // IsSealed reports whether the blob carries the sealed-envelope header.
@@ -95,17 +170,6 @@ func IsSealed(blob []byte) bool {
 		}
 	}
 	return true
-}
-
-func newAEAD(key []byte) (cipher.AEAD, error) {
-	if len(key) != KeySize {
-		return nil, ErrBadKeySize
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("envelope: %w", err)
-	}
-	return cipher.NewGCM(block)
 }
 
 // Envelope bundles a payload ciphertext with the wrapped (KMS-encrypted)

@@ -117,6 +117,57 @@ func TestBadKeySize(t *testing.T) {
 	}
 }
 
+// TestCipherMatchesPackageFuncs: a Cipher keyed once seals and opens
+// the same format as the one-shot Seal and Open, in both directions.
+func TestCipherMatchesPackageFuncs(t *testing.T) {
+	key := mustKey(t)
+	c, err := NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, aad := []byte("room document"), []byte("room")
+	blob, err := c.Seal(pt, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := HeaderSize + len(pt) + TagSize; len(blob) != want {
+		t.Fatalf("sealed %d bytes, want %d", len(blob), want)
+	}
+	if got, err := Open(key, blob, aad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("Open(Cipher.Seal) = %q, %v", got, err)
+	}
+	blob, err = Seal(key, pt, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Open(blob, aad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("Cipher.Open(Seal) = %q, %v", got, err)
+	}
+	if _, err := c.Open(blob, []byte("inbox:bob")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Cipher.Open with the wrong aad: %v, want ErrCorrupt", err)
+	}
+	if got, err := c.OpenInPlace(blob, aad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("Cipher.OpenInPlace(Seal) = %q, %v", got, err)
+	}
+
+	// SealInPlace over a buffer with the header reserved seals without
+	// copying and writes the same format.
+	buf := append(make([]byte, HeaderSize, HeaderSize+len(pt)+TagSize), pt...)
+	blob, err = c.SealInPlace(buf, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &blob[0] != &buf[0] || len(blob) != HeaderSize+len(pt)+TagSize {
+		t.Fatalf("SealInPlace returned %d bytes, not in the caller's buffer", len(blob))
+	}
+	if got, err := Open(key, blob, aad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("Open(Cipher.SealInPlace) = %q, %v", got, err)
+	}
+	if _, err := NewCipher([]byte("short")); !errors.Is(err, ErrBadKeySize) {
+		t.Fatalf("NewCipher(short key): %v, want ErrBadKeySize", err)
+	}
+}
+
 func TestNoncesUnique(t *testing.T) {
 	key := mustKey(t)
 	a, _ := Seal(key, []byte("x"), nil)

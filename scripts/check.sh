@@ -76,6 +76,10 @@ if ! grep -q 'Fleet trace rollup' "$LOG1"; then
 fi
 diff "$LOG1" "$LOG2"
 
+echo ">> codec fuzzing (hand-written chat codecs against encoding/json and encoding/xml, 10s each)"
+go test -run '^$' -fuzz '^FuzzRoomDoc$' -fuzztime 10s ./internal/apps/chat
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/proto/xmpp
+
 echo ">> go test -race ./... (includes the fleet scheduler under the race detector)"
 go test -race ./...
 
