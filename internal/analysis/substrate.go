@@ -141,10 +141,11 @@ type Facts struct {
 	// shard-private per-account state by construction and stay out.
 	ReachFleet map[*Node]bool
 	// ReachSeam is the union of the concurrency seams shardsafe guards:
-	// interceptor roots, OnTick hooks, the method sets of the
-	// publisher-side Batch staging buffers (metrics.Batch / logs.Batch),
-	// which are by construction written from publisher goroutines and
-	// drained from the tick goroutine — and the fleet shard workers.
+	// interceptor roots, OnTick hooks, the method sets of any
+	// publisher-side Batch staging type (none ships in the simulator
+	// today; the shardbad/shardgood fixtures keep the seam covered),
+	// which would by construction be written from publisher goroutines
+	// and drained from the tick goroutine — and the fleet shard workers.
 	ReachSeam map[*Node]bool
 
 	// Emits marks nodes that can reach an order-observable output sink:

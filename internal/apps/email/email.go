@@ -17,12 +17,14 @@ package email
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/mail"
 	"strings"
 	"time"
 
 	"repro/internal/cloudsim/lambda"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
 	"repro/internal/crypto/sealedbox"
@@ -140,10 +142,17 @@ func (h *mailHandler) key() ([]byte, error) {
 
 func (h *mailHandler) bucket() string { return h.env.Config(core.ConfigBucket) }
 
+// loadBox fetches and opens the mailbox (an empty one on first touch).
+// Only a missing object means first touch: any other read failure is
+// returned, since treating it as an empty mailbox would let the next
+// save overwrite every stored message.
 func (h *mailHandler) loadBox(key []byte) (*mailbox, error) {
 	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), "box")
-	if err != nil {
+	if errors.Is(err, s3.ErrNoSuchKey) {
 		return &mailbox{NextID: 1}, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("email: reading mailbox: %w", err)
 	}
 	pt, err := envelope.Open(key, obj.Data, []byte("box"))
 	if err != nil {

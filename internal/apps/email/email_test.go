@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/plane"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
@@ -33,12 +36,16 @@ func newMailbox(t *testing.T, filter *spam.Filter) (*core.Cloud, *core.Deploymen
 
 func deliver(t *testing.T, cloud *core.Cloud, from, subject, body string) {
 	t.Helper()
+	if err := tryDeliver(cloud, from, subject, body); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func tryDeliver(cloud *core.Cloud, from, subject, body string) error {
 	raw := fmt.Sprintf("From: %s\r\nTo: alice@%s\r\nSubject: %s\r\nDate: Mon, 05 Jun 2017 10:00:00 -0700\r\n\r\n%s\r\n",
 		from, MailDomain, subject, body)
 	ctx := &sim.Context{App: "email", Cursor: sim.NewCursor(cloud.Clock.Now())}
-	if err := cloud.SES.Deliver(ctx, from, "alice@"+MailDomain, []byte(raw)); err != nil {
-		t.Fatal(err)
-	}
+	return cloud.SES.Deliver(ctx, from, "alice@"+MailDomain, []byte(raw))
 }
 
 func listEntries(t *testing.T, d *core.Deployment) []IndexEntry {
@@ -463,5 +470,52 @@ func TestInboundDedupByMessageID(t *testing.T) {
 	deliver(t, cloud, "carol@remote.net", "no-id", "x")
 	if entries := listEntries(t, d); len(entries) != 3 {
 		t.Fatalf("index has %d entries, want 3", len(entries))
+	}
+}
+
+// TestFailedBoxReadKeepsMailbox fails one mailbox read with a
+// non-missing error: the delivery must fail without writing the
+// mailbox, so every earlier message survives. Treating the failed read
+// as an empty mailbox would overwrite it on the next save.
+func TestFailedBoxReadKeepsMailbox(t *testing.T) {
+	cloud, d := newMailbox(t, nil)
+	deliver(t, cloud, "bob@remote.net", "one", "first")
+	deliver(t, cloud, "carol@remote.net", "two", "second")
+	errThrottled := errors.New("s3: slow down")
+	box := s3.ObjectResource(d.Bucket, "box")
+	failNextGet, boxPuts := false, 0
+	cloud.S3.Plane().Use(func(next plane.HandlerFunc) plane.HandlerFunc {
+		return func(r *plane.Request) error {
+			if r.Call.Resource == box {
+				switch r.Call.Action {
+				case s3.ActionGet:
+					if failNextGet {
+						failNextGet = false
+						return errThrottled
+					}
+				case s3.ActionPut:
+					boxPuts++
+				}
+			}
+			return next(r)
+		}
+	})
+
+	failNextGet = true
+	if err := tryDeliver(cloud, "dave@remote.net", "three", "third"); err == nil {
+		t.Fatal("delivery succeeded although the mailbox read failed")
+	}
+	if failNextGet {
+		t.Fatal("the delivery never read the mailbox")
+	}
+	if boxPuts != 0 {
+		t.Fatalf("failed delivery wrote the mailbox %d times", boxPuts)
+	}
+	var subjects []string
+	for _, e := range listEntries(t, d) {
+		subjects = append(subjects, e.Subject)
+	}
+	if got := strings.Join(subjects, ","); got != "one,two" {
+		t.Fatalf("mailbox after the failed delivery = %q, want one,two", got)
 	}
 }

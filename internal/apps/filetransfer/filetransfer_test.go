@@ -3,9 +3,13 @@ package filetransfer
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/plane"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
@@ -284,5 +288,61 @@ func TestUploadBadRecipientKey(t *testing.T) {
 	resp, _, _ := d.Invoke(d.ClientContext(), "upload", req)
 	if resp.Status != 400 {
 		t.Fatalf("bad key status %d", resp.Status)
+	}
+}
+
+// TestFailedManifestReadKeepsOffers fails one manifest read with a
+// non-missing error: the upload must fail without writing the
+// manifest, so every earlier offer survives. Treating the failed read
+// as an empty manifest would drop them on the next save.
+func TestFailedManifestReadKeepsOffers(t *testing.T) {
+	cloud, d := newXfer(t)
+	upload(t, d, "a.txt", "bob", []byte("first"))
+	upload(t, d, "b.txt", "bob", []byte("second"))
+	errThrottled := errors.New("s3: slow down")
+	manifest := s3.ObjectResource(d.Bucket, "manifest")
+	failNextGet, manifestPuts := false, 0
+	cloud.S3.Plane().Use(func(next plane.HandlerFunc) plane.HandlerFunc {
+		return func(r *plane.Request) error {
+			if r.Call.Resource == manifest {
+				switch r.Call.Action {
+				case s3.ActionGet:
+					if failNextGet {
+						failNextGet = false
+						return errThrottled
+					}
+				case s3.ActionPut:
+					manifestPuts++
+				}
+			}
+			return next(r)
+		}
+	})
+
+	failNextGet = true
+	req, _ := json.Marshal(UploadRequest{Name: "c.txt", To: "bob", Data: []byte("third")})
+	if _, _, err := d.Invoke(d.ClientContext(), "upload", req); err == nil {
+		t.Fatal("upload succeeded although the manifest read failed")
+	}
+	if failNextGet {
+		t.Fatal("the upload never read the manifest")
+	}
+	if manifestPuts != 0 {
+		t.Fatalf("failed upload wrote the manifest %d times", manifestPuts)
+	}
+	resp, _, err := d.Invoke(d.ClientContext(), "list", nil)
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("list: %v status %d", err, resp.Status)
+	}
+	var offers []Offer
+	if err := json.Unmarshal(resp.Body, &offers); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, o := range offers {
+		names = append(names, o.Name)
+	}
+	if got := strings.Join(names, ","); got != "a.txt,b.txt" {
+		t.Fatalf("offers after the failed upload = %q, want a.txt,b.txt", got)
 	}
 }

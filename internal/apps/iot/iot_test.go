@@ -3,9 +3,12 @@ package iot
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/plane"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
@@ -194,5 +197,60 @@ func TestRegistryAtRestIsSealed(t *testing.T) {
 	}
 	if !envelope.IsSealed(obj.Data) || bytes.Contains(obj.Data, []byte("secret-camera")) {
 		t.Fatal("registry leaks plaintext")
+	}
+}
+
+// TestFailedRegistryReadKeepsDevices fails one registry read with a
+// non-missing error: the registration must fail without writing the
+// registry, so every enrolled device survives. Treating the failed
+// read as an empty registry would forget them on the next save.
+func TestFailedRegistryReadKeepsDevices(t *testing.T) {
+	cloud, d := newHome(t)
+	for _, name := range []string{"doorlock", "thermostat"} {
+		if st, _ := do(t, d, "register", Device{Name: name}); st != 200 {
+			t.Fatalf("register %s status %d", name, st)
+		}
+	}
+	errThrottled := errors.New("s3: slow down")
+	reg := s3.ObjectResource(d.Bucket, "registry")
+	failNextGet, regPuts := false, 0
+	cloud.S3.Plane().Use(func(next plane.HandlerFunc) plane.HandlerFunc {
+		return func(r *plane.Request) error {
+			if r.Call.Resource == reg {
+				switch r.Call.Action {
+				case s3.ActionGet:
+					if failNextGet {
+						failNextGet = false
+						return errThrottled
+					}
+				case s3.ActionPut:
+					regPuts++
+				}
+			}
+			return next(r)
+		}
+	})
+
+	failNextGet = true
+	body, _ := json.Marshal(Device{Name: "smoke"})
+	if _, _, err := d.Invoke(d.ClientContext(), "register", body); err == nil {
+		t.Fatal("register succeeded although the registry read failed")
+	}
+	if failNextGet {
+		t.Fatal("the registration never read the registry")
+	}
+	if regPuts != 0 {
+		t.Fatalf("failed registration wrote the registry %d times", regPuts)
+	}
+	st, out := do(t, d, "dashboard", nil)
+	if st != 200 {
+		t.Fatalf("dashboard status %d", st)
+	}
+	var db Dashboard
+	if err := json.Unmarshal(out, &db); err != nil {
+		t.Fatal(err)
+	}
+	if len(db.Devices) != 2 || db.Devices[0].Name != "doorlock" || db.Devices[1].Name != "thermostat" {
+		t.Fatalf("dashboard after the failed registration = %+v", db.Devices)
 	}
 }

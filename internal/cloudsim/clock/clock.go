@@ -124,9 +124,9 @@ func (v *Virtual) Set(t time.Time) {
 // Hooks run outside the clock's lock, in registration order, on the
 // goroutine that moved the clock — so a hook may read the clock or
 // drive other services, but moves are serialized per caller exactly
-// like the Advance calls themselves. The telemetry planes use this as
-// their deterministic flush boundary: pending interceptor batches
-// drain whenever the simulation's timeline steps forward.
+// like the Advance calls themselves. Only the trace store uses this
+// today, as its deterministic fold boundary: staged traces fold into
+// its columns whenever the simulation's timeline steps forward.
 func (v *Virtual) OnTick(fn func(time.Time)) {
 	if fn == nil {
 		return

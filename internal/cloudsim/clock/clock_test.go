@@ -225,8 +225,8 @@ func TestVirtualOnTick(t *testing.T) {
 	}
 
 	// Non-movements are not ticks: a hook that fired for them would turn
-	// no-op Set calls into flush boundaries and make batching timing
-	// depend on redundant calls.
+	// no-op Set calls into fold boundaries and make the trace store's
+	// fold timing depend on redundant calls.
 	v.Advance(-time.Minute)
 	v.Set(Epoch) // earlier than current time: ignored
 	if len(got) != 2 {
@@ -235,8 +235,8 @@ func TestVirtualOnTick(t *testing.T) {
 }
 
 // TestVirtualOnTickReentrant proves a tick hook may read the clock:
-// hooks run outside the mutex, so a hook calling Now (as the telemetry
-// flush boundary does transitively) must not deadlock.
+// hooks run outside the mutex, so a hook calling Now must not
+// deadlock.
 func TestVirtualOnTickReentrant(t *testing.T) {
 	v := NewVirtual()
 	var seen time.Time

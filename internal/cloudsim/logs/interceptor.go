@@ -3,7 +3,6 @@ package logs
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/cloudsim/clock"
@@ -26,19 +25,19 @@ import (
 // cannot move a ledger-parity golden by a nanodollar
 // (TestLogsPreserveLedger proves bit-identity with logging off).
 //
-// The hot path is allocation-lean: a pooled encoder renders the
+// The hot path is allocation-lean: a scratch encoder renders the
 // message with append-style formatting (the numeric field values are
 // substrings of the message, not separate allocations), fields go into
-// typed slots instead of a map, group names intern once per service,
-// and the finished event is staged in a Batch drained at clock ticks.
-// The `hotpath` diylint analyzer keeps fmt formatting and map literals
-// out of this path.
+// typed slots instead of a map, plane groups resolve once per service,
+// and the finished event lands directly in the store under its mutex —
+// one lock per call. The `hotpath` diylint analyzer keeps fmt
+// formatting and map literals out of this path.
 func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
 	pub := &logPublisher{
-		batch:  s.NewBatch(),
+		svc:    s,
 		book:   book,
 		clk:    clk,
-		groups: make(map[string]string),
+		groups: make(map[string]*group),
 	}
 	return func(next plane.HandlerFunc) plane.HandlerFunc {
 		return func(req *plane.Request) error {
@@ -49,46 +48,43 @@ func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plan
 	}
 }
 
-// encoder is a reusable message/field-slot builder. Pooled so
-// concurrent flows each grab their own scratch buffers instead of
-// allocating per event.
+// encoder is a reusable message/field-slot builder, so events are
+// rendered into retained scratch buffers instead of fresh allocations.
 type encoder struct {
 	buf    []byte
 	fields []field
 }
 
-var encPool = sync.Pool{New: func() any { return new(encoder) }}
-
 // logPublisher is the per-interceptor publication state.
 type logPublisher struct {
-	batch *Batch
-	book  *pricing.PriceBook
-	clk   clock.Clock
+	svc  *Service
+	book *pricing.PriceBook
+	clk  clock.Clock
 
-	mu     sync.Mutex
-	groups map[string]string // service -> interned "plane/<service>"
+	// Guarded by svc.mu, the lock every event lands under.
+	groups map[string]*group // service -> its "plane/<service>" group
+	enc    encoder
 }
 
-// group interns the plane log-group name for a service, building the
-// string once per service rather than once per call.
-func (p *logPublisher) group(service string) string {
-	p.mu.Lock()
+// groupLocked resolves the plane log group for a service, building the
+// group name once per service rather than once per call. Caller holds
+// p.svc.mu.
+func (p *logPublisher) groupLocked(service string) *group {
 	g, ok := p.groups[service]
 	if !ok {
-		g = PlaneGroup(service)
+		g = p.svc.ensureGroupLocked(PlaneGroup(service))
 		p.groups[service] = g
 	}
-	p.mu.Unlock()
 	return g
 }
 
-// publish encodes and stages the call's event. The message rendering
+// publish encodes and stores the call's event. The message rendering
 // is byte-identical to the historical
 //
 //	"%s:%s outcome=%s latency_ms=%s cost_nanodollars=%d principal=%s"
 //
 // Sprintf (log-stream determinism goldens pin it), built with append
-// formatting into a pooled buffer instead.
+// formatting into the publisher's scratch encoder instead.
 func (p *logPublisher) publish(req *plane.Request, err error) {
 	at := req.Ctx.Now()
 	if at.IsZero() && p.clk != nil {
@@ -117,7 +113,10 @@ func (p *logPublisher) publish(req *plane.Request, err error) {
 		ms = float64(at.Sub(start)) / float64(time.Millisecond)
 	}
 
-	enc := encPool.Get().(*encoder)
+	s := p.svc
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	enc := &p.enc
 	b := enc.buf[:0]
 	b = append(b, req.Call.Service...)
 	b = append(b, ':')
@@ -162,6 +161,6 @@ func (p *logPublisher) publish(req *plane.Request, err error) {
 	}
 	enc.fields = fs
 
-	p.batch.Log(p.group(req.Call.Service), req.Call.Op, at, msg, fs)
-	encPool.Put(enc)
+	g := p.groupLocked(req.Call.Service)
+	s.appendLocked(g, s.ensureStreamLocked(g, req.Call.Op), at, msg, fs)
 }

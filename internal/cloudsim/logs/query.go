@@ -104,7 +104,6 @@ func (s *Service) Query(group, query string, from, to time.Time) (*QueryResult, 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	var refs []eventRef
 	if g, ok := s.groups[group]; ok {
 		refs = g.windowRefs(from, to)

@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cloudsim/clock"
@@ -28,16 +28,15 @@ import (
 // mutates — so installing it cannot move a ledger-parity golden by a
 // nanodollar (scripts/check.sh proves this each run).
 //
-// The hot path is interned and batched: each (service, op) resolves
-// its five series handles once, publication is a buffer append drained
-// at clock ticks (see Batch), and no names are formatted per call —
-// the `hotpath` diylint analyzer keeps it that way.
+// The hot path is interned and direct: each (service, op) resolves its
+// five series handles once, and a call's samples go straight into the
+// store under its mutex — one lock per call, no names formatted (the
+// `hotpath` diylint analyzer keeps it that way).
 func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
 	pub := &publisher{
 		svc:       s,
 		book:      book,
 		clk:       clk,
-		batch:     s.NewBatch(),
 		account:   s.Handle(AccountNamespace, MetricAccountCostNanos),
 		byService: make(map[string]map[string]*opHandles),
 	}
@@ -52,7 +51,7 @@ func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plan
 
 // opHandles caches the five resolved series handles for one
 // (service, op) namespace, so steady-state publication does no key
-// building or map insertion — two map reads and five buffer appends.
+// building or map insertion — two map reads and a handful of inserts.
 type opHandles struct {
 	requests Handle
 	errs     Handle
@@ -69,19 +68,16 @@ type publisher struct {
 	svc     *Service
 	book    *pricing.PriceBook
 	clk     clock.Clock
-	batch   *Batch
 	account Handle
 
-	mu        sync.Mutex
+	// Guarded by svc.mu, the lock every sample lands under.
 	byService map[string]map[string]*opHandles
 	cum       int64
 }
 
-// publish emits the call's samples as one burst staged from a stack
-// buffer — a single batch append per call. Holding p.mu across the
-// burst pairs each cumulative-gauge update with its sample (the gauge
-// series stays monotone) and keeps one call's samples adjacent in the
-// batch.
+// publish inserts the call's samples under one hold of the store
+// mutex, which pairs each cumulative-gauge update with its sample (the
+// gauge series stays monotone) and keeps one call's samples adjacent.
 func (p *publisher) publish(req *plane.Request, err error) {
 	t0 := hostNow()
 	at := req.Ctx.Now()
@@ -89,44 +85,40 @@ func (p *publisher) publish(req *plane.Request, err error) {
 		at = p.clk.Now()
 	}
 	atNs := at.UnixNano()
-	var burst [6]sample
-	n := 0
-	p.mu.Lock()
-	h := p.resolveLocked(req.Call.Service, req.Call.Op)
-	burst[n] = sample{h: h.requests, at: atNs, v: 1}
-	n++
-	switch {
-	case errors.Is(err, iam.ErrDenied):
-		burst[n] = sample{h: h.denials, at: atNs, v: 1}
-		n++
-	case err != nil:
-		burst[n] = sample{h: h.errs, at: atNs, v: 1}
-		n++
-	}
-	if start := req.Start(); !start.IsZero() && !at.Before(start) {
-		burst[n] = sample{h: h.latency, at: atNs,
-			v: float64(at.Sub(start)) / float64(time.Millisecond)}
-		n++
-	}
 	var cost pricing.Money
 	for _, u := range req.Metered() {
 		cost += p.book.ListPrice(u)
 	}
-	burst[n] = sample{h: h.cost, at: atNs, v: float64(cost.Nanodollars())}
-	n++
+	s := p.svc
+	s.mu.Lock()
+	h := p.resolveLocked(req.Call.Service, req.Call.Op)
+	s.insertLocked(h.requests, atNs, 1)
+	n := int64(3) // requests, cost and the account gauge
+	switch {
+	case errors.Is(err, iam.ErrDenied):
+		s.insertLocked(h.denials, atNs, 1)
+		n++
+	case err != nil:
+		s.insertLocked(h.errs, atNs, 1)
+		n++
+	}
+	if start := req.Start(); !start.IsZero() && !at.Before(start) {
+		s.insertLocked(h.latency, atNs, float64(at.Sub(start))/float64(time.Millisecond))
+		n++
+	}
+	s.insertLocked(h.cost, atNs, float64(cost.Nanodollars()))
 	p.cum += cost.Nanodollars()
-	burst[n] = sample{h: p.account, at: atNs, v: float64(p.cum)}
-	n++
-	p.batch.addMany(burst[:n])
-	p.mu.Unlock()
+	s.insertLocked(p.account, atNs, float64(p.cum))
+	s.samples += n
+	s.mu.Unlock()
 	if t0 != 0 {
-		p.svc.addOverhead(hostNow() - t0)
+		s.addOverhead(hostNow() - t0)
 	}
 }
 
 // resolveLocked interns the five series handles for (service, op),
 // building the "service/op" namespace string only on first sight.
-// Caller holds p.mu.
+// Caller holds p.svc.mu.
 func (p *publisher) resolveLocked(service, op string) *opHandles {
 	ops := p.byService[service]
 	if ops == nil {
@@ -136,12 +128,13 @@ func (p *publisher) resolveLocked(service, op string) *opHandles {
 	h := ops[op]
 	if h == nil {
 		ns := service + "/" + op
+		s := p.svc
 		h = &opHandles{
-			requests: p.svc.Handle(ns, MetricPlaneRequests),
-			errs:     p.svc.Handle(ns, MetricPlaneErrors),
-			denials:  p.svc.Handle(ns, MetricPlaneDenials),
-			latency:  p.svc.Handle(ns, MetricPlaneLatencyMs),
-			cost:     p.svc.Handle(ns, MetricPlaneCostNanos),
+			requests: s.handleLocked(ns, MetricPlaneRequests),
+			errs:     s.handleLocked(ns, MetricPlaneErrors),
+			denials:  s.handleLocked(ns, MetricPlaneDenials),
+			latency:  s.handleLocked(ns, MetricPlaneLatencyMs),
+			cost:     s.handleLocked(ns, MetricPlaneCostNanos),
 		}
 		ops[op] = h
 	}
@@ -189,7 +182,67 @@ func (s *Service) Usage() []pricing.Usage {
 // count feeds the CloudWatch inventory bill.
 func (s *Service) SelfPublish(at time.Time) {
 	st := s.SelfStats()
-	s.Record(TelemetryNamespace, MetricTelemetrySamples, at, float64(st.BatchedSamples))
-	s.Record(TelemetryNamespace, MetricTelemetryFlushes, at, float64(st.Flushes))
+	s.Record(TelemetryNamespace, MetricTelemetrySamples, at, float64(st.Samples))
 	s.Record(TelemetryNamespace, MetricTelemetryOverheadNs, at, float64(st.OverheadNs))
 }
+
+// SelfStats is the metrics plane's observation of itself.
+type SelfStats struct {
+	// Samples counts samples published by plane interceptors.
+	Samples int64
+	// OverheadNs is cumulative host-clock time spent inside the plane
+	// interceptor's publish step. Zero unless SetHostClock was called:
+	// the simulator measures its own cost only when a real-time source
+	// is explicitly injected, keeping simulated runs deterministic.
+	OverheadNs int64
+}
+
+// SelfStats reports the service's self-telemetry counters.
+func (s *Service) SelfStats() SelfStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SelfStats{
+		Samples:    s.samples,
+		OverheadNs: atomic.LoadInt64(&s.overheadNs),
+	}
+}
+
+// addOverhead accumulates host-clock interceptor time.
+func (s *Service) addOverhead(ns int64) {
+	if ns > 0 {
+		atomic.AddInt64(&s.overheadNs, ns)
+	}
+}
+
+// hostClock, when set, is a real-time nanosecond source used solely to
+// measure the interceptor's own overhead (SelfStats.OverheadNs).
+var hostClock atomic.Value // of func() int64
+
+// SetHostClock injects a host (wall) nanosecond clock for interceptor
+// overhead measurement. The simulator core never sets one — simulated
+// runs measure zero overhead and stay deterministic; diyctl injects
+// time.Now-based nanos so interactive runs can report the telemetry
+// tax in `diyctl metrics`.
+func SetHostClock(fn func() int64) {
+	if fn == nil {
+		return
+	}
+	hostClock.Store(fn)
+}
+
+// hostNow reads the injected host clock, or 0 when none is set.
+func hostNow() int64 {
+	if fn, ok := hostClock.Load().(func() int64); ok {
+		return fn()
+	}
+	return 0
+}
+
+// HostNow exposes the injected host clock to the rest of the module:
+// nanoseconds from the SetHostClock source, or 0 when none is set.
+// The fleet control tower times its host-side phases (profile
+// generation, shard drain, aggregation, per-account install vs replay)
+// through this so simulated and test runs — which never inject a host
+// clock — measure zero everywhere and stay bit-identical, while
+// interactive diyctl runs see real durations.
+func HostNow() int64 { return hostNow() }

@@ -14,11 +14,10 @@
 // million-sample series costs zero copy-on-growth and the garbage
 // collector never scans the data. Fixed-width sample buckets carry
 // pre-aggregated sum/min/max so wide windows are answered from bucket
-// aggregates instead of a full scan. Publishers on the request plane
-// append through a Batch (batch.go) and pay a buffer append per
-// sample; pending buffers drain at virtual-clock ticks and are
-// force-flushed before any read, so every query and alarm evaluation
-// sees exactly the samples an unbatched store would.
+// aggregates instead of a full scan. The plane interceptor inserts a
+// call's samples directly under the store mutex — one lock per call —
+// so every query and alarm evaluation sees every sample published
+// before it.
 package metrics
 
 import (
@@ -97,17 +96,15 @@ func (sx *series) set(i int, ns int64, v float64) {
 // the alarms that watch them (alarm.go). It is safe for concurrent
 // use.
 type Service struct {
-	mu      sync.Mutex
-	series  []*series
-	index   map[string]Handle
-	batches []*Batch
-	alarms  []*Alarm
+	mu     sync.Mutex
+	series []*series
+	index  map[string]Handle
+	alarms []*Alarm
 
 	// Self-telemetry counters (see SelfStats): how much work the
 	// telemetry plane itself has done.
-	batchedSamples int64
-	flushes        int64
-	overheadNs     int64 // atomic; host-clock interceptor overhead, see SetHostClock
+	samples    int64
+	overheadNs int64 // atomic; host-clock interceptor overhead, see SetHostClock
 }
 
 // New returns an empty metrics service.
@@ -247,7 +244,6 @@ func (sx *series) bounds(from, to time.Time) (lo, hi int) {
 func (s *Service) window(namespace, metric string, from, to time.Time) []Datum {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	sx := s.lookupLocked(namespace, metric)
 	if sx == nil {
 		return nil
@@ -308,12 +304,11 @@ func (sx *series) statRange(lo, hi int) (sum, min, max float64, ok bool) {
 	return sum, min, max, true
 }
 
-// stat runs fn over the windowed range of a series with batches
-// flushed, under the service lock.
+// stat runs fn over the windowed range of a series under the service
+// lock.
 func (s *Service) stat(namespace, metric string, from, to time.Time, fn func(sx *series, lo, hi int)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	sx := s.lookupLocked(namespace, metric)
 	if sx == nil {
 		return
@@ -452,7 +447,6 @@ type SeriesStat struct {
 func (s *Service) SeriesStats() []SeriesStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	out := make([]SeriesStat, 0, len(s.series))
 	for _, sx := range s.series {
 		if sx.n == 0 {
@@ -477,7 +471,6 @@ func (s *Service) SeriesStats() []SeriesStat {
 func (s *Service) Metrics(namespace string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	var out []string
 	for _, sx := range s.series {
 		if sx.namespace == namespace && sx.n > 0 {
@@ -493,7 +486,6 @@ func (s *Service) Metrics(namespace string) []string {
 func (s *Service) Namespaces() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	seen := make(map[string]bool)
 	for _, sx := range s.series {
 		if sx.n > 0 {
@@ -509,7 +501,6 @@ func (s *Service) Namespaces() []string {
 func (s *Service) SeriesCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	n := 0
 	for _, sx := range s.series {
 		if sx.n > 0 {

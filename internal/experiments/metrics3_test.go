@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/logs"
 	"repro/internal/cloudsim/metrics"
 	"repro/internal/core"
 )
@@ -63,6 +65,43 @@ func TestObservabilityPreservesLedger(t *testing.T) {
 	}
 	if off := r.table3(); *on.Stats != *off {
 		t.Errorf("observability changed the measured run:\n  on:  %+v\n  off: %+v", on.Stats, off)
+	}
+}
+
+// The three views of plane spend must agree to the nanodollar on the
+// timed Table 3 run: the per-op plane.cost.nanodollars series, the
+// cost_nanodollars field of every plane/* log event, and the final
+// reading of the cumulative account.cost.nanodollars gauge.
+func TestSinksAgreeOnCost(t *testing.T) {
+	r, _ := sharedTimed(t)
+	var series, gauge int64
+	for _, st := range r.cloud.Metrics.SeriesStats() {
+		switch {
+		case st.Metric == metrics.MetricPlaneCostNanos:
+			series += int64(st.Sum)
+		case st.Namespace == metrics.AccountNamespace && st.Metric == metrics.MetricAccountCostNanos:
+			gauge = int64(st.Last)
+		}
+	}
+	var logged int64
+	for _, g := range r.cloud.Logs.Groups() {
+		if !strings.HasPrefix(g, logs.PlaneGroup("")) {
+			continue
+		}
+		for _, e := range r.cloud.Logs.Events(g, time.Time{}, time.Time{}) {
+			n, err := strconv.ParseInt(e.Fields["cost_nanodollars"], 10, 64)
+			if err != nil {
+				t.Fatalf("%s %s seq %d: cost_nanodollars: %v", g, e.Stream, e.Seq, err)
+			}
+			logged += n
+		}
+	}
+	if series <= 0 {
+		t.Fatalf("plane cost series sum to %d nanodollars; the run spent nothing", series)
+	}
+	if logged != series || gauge != series {
+		t.Errorf("sinks disagree on plane spend: metrics series %d, plane log events %d, account gauge %d (nanodollars)",
+			series, logged, gauge)
 	}
 }
 

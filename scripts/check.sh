@@ -76,6 +76,19 @@ if ! grep -q 'Fleet trace rollup' "$LOG1"; then
 fi
 diff "$LOG1" "$LOG2"
 
+echo ">> telemetry CLI double-run (diyctl logs and metrics: both plane interceptors with reads interleaved; host-time overhead lines filtered)"
+for cmd in logs metrics; do
+	OUT1=$(go run ./cmd/diyctl "$cmd")
+	OUT2=$(go run ./cmd/diyctl "$cmd")
+	printf '%s\n' "$OUT1" | grep -v overhead >"$LOG1"
+	printf '%s\n' "$OUT2" | grep -v overhead >"$LOG2"
+	if ! [ -s "$LOG1" ]; then
+		echo "check: diyctl $cmd produced no output" >&2
+		exit 1
+	fi
+	diff "$LOG1" "$LOG2"
+done
+
 echo ">> codec fuzzing (hand-written chat codecs against encoding/json and encoding/xml, 10s each)"
 go test -run '^$' -fuzz '^FuzzRoomDoc$' -fuzztime 10s ./internal/apps/chat
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/proto/xmpp
