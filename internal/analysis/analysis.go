@@ -6,8 +6,9 @@
 //   - wallclock: simulator, app, and workload code reads time only
 //     through an injected clock.Clock, never the time package's wall
 //     clock, so virtual-timeline replay stays deterministic;
-//   - globalrand: randomness comes from an injected seeded *rand.Rand,
-//     never the process-global math/rand source;
+//   - globalrand: randomness comes from an injected *rand.Rand seeded
+//     by rng.New, never the process-global math/rand source nor an
+//     eagerly filled rand.NewSource;
 //   - moneyfloat: scaling and float conversion of pricing.Money happen
 //     only inside internal/pricing, preserving nanodollar parity;
 //   - spanhygiene: exported service methods that accept a *sim.Context

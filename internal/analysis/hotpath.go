@@ -13,6 +13,7 @@ import (
 //   - In internal/cloudsim scopes, the body of any PlaneInterceptor —
 //     and every same-package function it can reach — runs per
 //     published call.
+//
 //   - In internal/cloudsim/trace, the store's publish path — Record,
 //     Decide, and Flush, plus every same-package function they can
 //     reach — runs per request (the sampling decision and the staged

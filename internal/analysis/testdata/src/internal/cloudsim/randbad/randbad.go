@@ -13,3 +13,8 @@ func Jitter() float64 {
 func Pick(n int) int {
 	return rand.Intn(n)
 }
+
+// NewRng seeds math/rand's eager source instead of rng.New.
+func NewRng(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed))
+}

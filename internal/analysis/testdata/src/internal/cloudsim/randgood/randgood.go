@@ -2,11 +2,15 @@
 // *rand.Rand; the globalrand analyzer must stay silent.
 package randgood
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/rng"
+)
 
 // NewRng builds the seeded generator a simulator injects.
 func NewRng(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	return rng.New(seed)
 }
 
 // Jitter draws from the injected generator.

@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Hop identifies one network/service hop whose latency the model samples.
@@ -128,7 +130,7 @@ func NewModel(p Params) *Model {
 		p.RefMemoryMB = 448
 	}
 	return &Model{
-		rng:     rand.New(rand.NewSource(p.Seed)),
+		rng:     rng.New(p.Seed),
 		params:  p,
 		outages: make(map[string]bool),
 	}

@@ -309,4 +309,3 @@ func (s *Service) AccrueStorage(d time.Duration, app string) {
 	months := float64(d) / float64(pricing.Month)
 	s.meter.Add(pricing.Usage{Kind: pricing.S3StorageGBMo, Quantity: gb * months, App: app})
 }
-

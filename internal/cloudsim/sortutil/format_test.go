@@ -40,17 +40,17 @@ func TestFormatMoneyNanosBoundaries(t *testing.T) {
 		want  string
 	}{
 		{0, "$0.00000000"},
-		{1, "$0.00000000"},  // 0.1e-8 dollars rounds down
-		{4, "$0.00000000"},  // 0.4e-8 rounds down
-		{5, "$0.00000001"},  // 0.5e-8 rounds half up
+		{1, "$0.00000000"}, // 0.1e-8 dollars rounds down
+		{4, "$0.00000000"}, // 0.4e-8 rounds down
+		{5, "$0.00000001"}, // 0.5e-8 rounds half up
 		{9, "$0.00000001"},
 		{10, "$0.00000001"}, // exactly 1e-8 dollars
 		{15, "$0.00000002"},
-		{1_820, "$0.00000182"},             // the demo trace's span scale
-		{999_999_994, "$0.99999999"},       // just below a dollar
-		{999_999_995, "$1.00000000"},       // rounding carries across the point
-		{1_000_000_000, "$1.00000000"},     // one dollar exactly
-		{12_345_678_912, "$12.34567891"},   // digit-exact, no float drift
+		{1_820, "$0.00000182"},           // the demo trace's span scale
+		{999_999_994, "$0.99999999"},     // just below a dollar
+		{999_999_995, "$1.00000000"},     // rounding carries across the point
+		{1_000_000_000, "$1.00000000"},   // one dollar exactly
+		{12_345_678_912, "$12.34567891"}, // digit-exact, no float drift
 		{-5, "-$0.00000001"},
 		{-10_000_000_000, "-$10.00000000"},
 	}

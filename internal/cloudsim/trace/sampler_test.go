@@ -61,13 +61,13 @@ func TestSamplerReservoirRefill(t *testing.T) {
 		at   time.Time
 		want bool
 	}{
-		{sec(0, 0), true},                       // reservoir slot 1
-		{sec(0, 100 * time.Millisecond), true},  // reservoir slot 2
-		{sec(0, 200 * time.Millisecond), false}, // reservoir exhausted
-		{sec(0, 900 * time.Millisecond), false},
+		{sec(0, 0), true},                     // reservoir slot 1
+		{sec(0, 100*time.Millisecond), true},  // reservoir slot 2
+		{sec(0, 200*time.Millisecond), false}, // reservoir exhausted
+		{sec(0, 900*time.Millisecond), false},
 		{sec(1, 0), true}, // next virtual second: refilled
 		{sec(1, time.Millisecond), true},
-		{sec(1, 2 * time.Millisecond), false},
+		{sec(1, 2*time.Millisecond), false},
 		{sec(5, 0), true}, // gaps refill too
 	}
 	for i, c := range checks {

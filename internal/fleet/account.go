@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet/telemetry"
 	"repro/internal/pricing"
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -175,7 +176,7 @@ func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountPro
 		tl:      tl,
 		cloud:   cloud,
 		end:     clock.Epoch.Add(cfg.Span),
-		payload: rand.New(rand.NewSource(workload.Substream(profile.Seed, "payload"))),
+		payload: rng.New(workload.Substream(profile.Seed, "payload")),
 	}
 
 	switch profile.Kind {

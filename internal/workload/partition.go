@@ -2,7 +2,8 @@ package workload
 
 import (
 	"math"
-	"math/rand"
+
+	"repro/internal/rng"
 )
 
 // This file partitions the workload generators across a fleet: account
@@ -124,10 +125,10 @@ var kindBaseline = [NumKinds]struct {
 // uniform in [½, 1½]× the baseline.
 func Profile(base int64, index int) AccountProfile {
 	seed := AccountSeed(base, index)
-	rng := rand.New(rand.NewSource(Substream(seed, "profile")))
+	gen := rng.New(Substream(seed, "profile"))
 
 	kind := NumKinds - 1
-	r := rng.Float64()
+	r := gen.Float64()
 	for k := AppKind(0); k < NumKinds; k++ {
 		if r < appMix[k] {
 			kind = k
@@ -136,8 +137,8 @@ func Profile(base int64, index int) AccountProfile {
 		r -= appMix[k]
 	}
 	b := kindBaseline[kind]
-	rate := b.perDay * math.Exp(0.35*rng.NormFloat64())
-	body := b.body/2 + rng.Intn(b.body)
+	rate := b.perDay * math.Exp(0.35*gen.NormFloat64())
+	body := b.body/2 + gen.Intn(b.body)
 	return AccountProfile{
 		Index:          index,
 		Kind:           kind,

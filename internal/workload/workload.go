@@ -12,6 +12,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Poisson generates exponentially distributed interarrival times for a
@@ -24,8 +26,12 @@ type Poisson struct {
 
 // NewPoisson returns a Poisson arrival process starting at start.
 func NewPoisson(seed int64, perDay float64, start time.Time) *Poisson {
-	return &Poisson{rng: rand.New(rand.NewSource(seed)), perDay: perDay, current: start}
+	return &Poisson{rng: rng.New(seed), perDay: perDay, current: start}
 }
+
+// maxGap caps one interarrival gap (~146 years) so a vanishing rate
+// still converts to a valid Duration.
+const maxGap = float64(1 << 62)
 
 // Next advances to and returns the next arrival instant.
 func (p *Poisson) Next() time.Time {
@@ -33,8 +39,15 @@ func (p *Poisson) Next() time.Time {
 		p.current = p.current.Add(24 * time.Hour)
 		return p.current
 	}
-	meanGap := 24 * time.Hour / time.Duration(math.Max(p.perDay, 1e-9))
-	gap := time.Duration(p.rng.ExpFloat64() * float64(meanGap))
+	// A rate of one a day or more divides the day by its integer part
+	// (1.9/day acts as 1/day), as every committed golden was cut. A
+	// slower rate divides in floating point; converting it to a
+	// Duration first would truncate it to zero.
+	meanGap := float64(24*time.Hour) / p.perDay
+	if p.perDay >= 1 {
+		meanGap = float64(24 * time.Hour / time.Duration(p.perDay))
+	}
+	gap := time.Duration(math.Min(p.rng.ExpFloat64()*meanGap, maxGap))
 	p.current = p.current.Add(gap)
 	return p.current
 }
@@ -94,7 +107,7 @@ func PaperSlackGroup() SlackGroup {
 // start, Poisson in time with diurnal modulation, senders drawn
 // uniformly.
 func (g SlackGroup) Trace(start time.Time, span time.Duration) []ChatEvent {
-	rng := rand.New(rand.NewSource(g.Seed))
+	gen := rng.New(g.Seed)
 	perDay := g.MsgsPerWeek / 7
 	bodyBytes := g.BodyBytes
 	if bodyBytes <= 0 {
@@ -106,18 +119,18 @@ func (g SlackGroup) Trace(start time.Time, span time.Duration) []ChatEvent {
 	for {
 		// Thin a homogeneous process by the diurnal weight.
 		meanGap := 24 * time.Hour / time.Duration(math.Max(perDay*2.2, 1e-9))
-		cur = cur.Add(time.Duration(rng.ExpFloat64() * float64(meanGap)))
+		cur = cur.Add(time.Duration(gen.ExpFloat64() * float64(meanGap)))
 		if !cur.Before(end) {
 			return out
 		}
-		if rng.Float64() > Diurnal(cur.Hour())/2.2 {
+		if gen.Float64() > Diurnal(cur.Hour())/2.2 {
 			continue
 		}
-		n := bodyBytes/2 + rng.Intn(bodyBytes)
+		n := bodyBytes/2 + gen.Intn(bodyBytes)
 		out = append(out, ChatEvent{
 			At:   cur,
-			From: g.Members[rng.Intn(len(g.Members))],
-			Body: synthBody(rng, n),
+			From: g.Members[gen.Intn(len(g.Members))],
+			Body: synthBody(gen, n),
 		})
 	}
 }

@@ -43,6 +43,25 @@ func TestPoissonZeroRate(t *testing.T) {
 	}
 }
 
+func TestPoissonFractionalRate(t *testing.T) {
+	p := NewPoisson(1, 0.5, t0)
+	arrivals := p.ArrivalsWithin(30 * 24 * time.Hour)
+	if n := len(arrivals); n < 5 || n > 30 {
+		t.Fatalf("0.5/day over 30 days gave %d arrivals, want ≈15", n)
+	}
+	for i := 1; i < len(arrivals); i++ {
+		if !arrivals[i].After(arrivals[i-1]) {
+			t.Fatalf("arrival %d not after arrival %d", i, i-1)
+		}
+	}
+
+	// A vanishing rate still moves time forward, never back.
+	p = NewPoisson(1, 1e-12, t0)
+	if next := p.Next(); !next.After(t0) {
+		t.Fatalf("rate 1e-12/day: next arrival %v is not after the start", next)
+	}
+}
+
 func TestDiurnalShape(t *testing.T) {
 	// Overnight is quieter than the morning peak.
 	if Diurnal(3) >= Diurnal(10) {

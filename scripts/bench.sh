@@ -1,9 +1,9 @@
 #!/bin/sh
-# bench.sh — snapshot the cloudsim hot-path, chat codec, diylint, and
-# fleet benchmarks into BENCH_cloudsim.json so interceptor-chain,
-# window-lookup, log ingestion, Insights-scan, trace-store, stanza and
-# room-document codec, analyzer-suite, and fleet-throughput regressions
-# show up as a diff.
+# bench.sh — snapshot the cloudsim hot-path, chat codec, diylint, PRNG
+# source, and fleet benchmarks into BENCH_cloudsim.json so
+# interceptor-chain, window-lookup, log ingestion, Insights-scan,
+# trace-store, stanza and room-document codec, analyzer-suite,
+# PRNG-seeding, and fleet-throughput regressions show up as a diff.
 # `make bench` runs this.
 set -eu
 cd "$(dirname "$0")/.."
@@ -14,6 +14,12 @@ trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'BenchmarkDoInterceptors|BenchmarkWindowNarrow|BenchmarkLogsIngest|BenchmarkInsightsScan|BenchmarkTraceRecord|BenchmarkServiceMap|BenchmarkStanzaEncode|BenchmarkStanzaDecode|BenchmarkRoomDocRoundTrip|BenchmarkDiylint' -benchmem \
 	./internal/cloudsim/plane ./internal/cloudsim/metrics ./internal/cloudsim/logs ./internal/cloudsim/trace ./internal/proto/xmpp ./internal/apps/chat ./internal/analysis | tee "$RAW"
+
+# The seeded PRNG source against its math/rand twins: construction
+# plus one NormFloat64 (the per-account pattern) and a steady-state
+# draw.
+go test -run '^$' -bench 'BenchmarkNewSource|BenchmarkSourceDraw' -benchmem \
+	./internal/rng | tee -a "$RAW"
 
 # Fleet runs take hundreds of ms to seconds each. The 1000-account
 # trio (bare vs telemetry vs traced) runs five timed iterations

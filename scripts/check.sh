@@ -4,6 +4,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo ">> gofmt -l . (every Go file formatted)"
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+	echo "check: gofmt -l found unformatted files:" >&2
+	echo "$UNFORMATTED" >&2
+	exit 1
+fi
+
 echo ">> go vet ./..."
 go vet ./...
 
@@ -89,9 +97,10 @@ for cmd in logs metrics; do
 	diff "$LOG1" "$LOG2"
 done
 
-echo ">> codec fuzzing (hand-written chat codecs against encoding/json and encoding/xml, 10s each)"
+echo ">> differential fuzzing (hand-written chat codecs against encoding/json and encoding/xml, lazy PRNG source against math/rand, 10s each)"
 go test -run '^$' -fuzz '^FuzzRoomDoc$' -fuzztime 10s ./internal/apps/chat
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/proto/xmpp
+go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/rng
 
 echo ">> go test -race ./... (includes the fleet scheduler under the race detector)"
 go test -race ./...
